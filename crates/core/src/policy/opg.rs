@@ -266,7 +266,7 @@ impl Opg {
     }
 
     /// Ladder/mode-scanning variant of [`idle_energy`](Self::idle_energy),
-    /// for the pricing-table micro-benchmarks.
+    /// the reference side of the pricing-table equivalence tests.
     fn idle_energy_scan(&self, gap: SimDuration) -> f64 {
         match self.dpm {
             OpgDpm::Oracle => self.power.lower_envelope_scan(gap).as_joules(),
@@ -324,9 +324,8 @@ impl Opg {
     }
 
     /// Penalty for a hypothetical re-fetch of `disk` at an arbitrary time
-    /// `x` µs (not necessarily an access instant). Exposed for tests and
-    /// the pricing micro-benchmarks; the replay hot path uses
-    /// [`penalty_at_pos`](Self::penalty_at_pos).
+    /// `x` µs (not necessarily an access instant). Exposed for tests;
+    /// the replay hot path uses [`penalty_at_pos`](Self::penalty_at_pos).
     #[doc(hidden)]
     #[must_use]
     pub fn penalty_probe(&self, disk: DiskId, x: u64) -> f64 {
@@ -335,7 +334,7 @@ impl Opg {
 
     /// [`penalty_probe`](Self::penalty_probe) priced through the
     /// mode/ladder scans instead of the precomputed tables (bit-identical
-    /// by construction; exists to benchmark the difference).
+    /// by construction; the reference the tests compare against).
     #[doc(hidden)]
     #[must_use]
     pub fn penalty_probe_scan(&self, disk: DiskId, x: u64) -> f64 {

@@ -104,9 +104,8 @@ pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
     !crc
 }
 
-/// Textbook bit-at-a-time CRC32C. The correctness oracle for the
-/// slice-by-8 kernel and the baseline of the criterion `crc` bench
-/// group; never used on a hot path.
+/// Textbook bit-at-a-time CRC32C. The correctness oracle the
+/// slice-by-8 kernel's tests compare against; never used on a hot path.
 pub fn crc32c_bitwise(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in data {

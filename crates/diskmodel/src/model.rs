@@ -276,8 +276,8 @@ impl PowerModel {
     }
 
     /// Reference implementation of [`lower_envelope`](Self::lower_envelope):
-    /// scans every mode's energy line. Kept for equivalence tests and
-    /// micro-benchmarks of the pricing table.
+    /// scans every mode's energy line. Kept as the reference the
+    /// pricing table's equivalence tests compare against.
     #[must_use]
     pub fn lower_envelope_scan(&self, gap: SimDuration) -> Joules {
         self.energy_line(self.oracle_mode_for_gap_scan(gap), gap)
@@ -382,8 +382,8 @@ impl PowerModel {
 
     /// Reference implementation of
     /// [`practical_idle_energy`](Self::practical_idle_energy): walks the
-    /// demotion ladder step by step. Kept for equivalence tests and
-    /// micro-benchmarks of the pricing table.
+    /// demotion ladder step by step. Kept as the reference the pricing
+    /// table's equivalence tests compare against.
     #[must_use]
     pub fn practical_idle_energy_scan(&self, gap: SimDuration) -> Joules {
         let mut energy = Joules::ZERO;

@@ -18,7 +18,7 @@
 //! boundaries bracket each pairwise line crossing and each feasibility
 //! cut-in, and the winner is re-derived with the reference scan at each
 //! candidate). The scan implementations stay available as
-//! `*_scan` methods for equivalence tests and micro-benchmarks.
+//! `*_scan` methods: the reference the equivalence tests compare against.
 
 use pc_units::{Joules, SimDuration, Watts};
 

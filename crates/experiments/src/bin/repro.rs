@@ -3,7 +3,6 @@
 //! ```text
 //! repro <experiment> [--scale X] [--seed N] [--jobs N] [--trace FILE.pct]
 //! repro all [--scale X] [--seed N] [--jobs N]
-//! repro bench [--scale X] [--seed N] [--reps N] [--check]
 //! repro trace export --workload NAME --out FILE.pct [--requests N] [--seed N]
 //! repro trace info FILE.pct
 //! repro trace filter IN.pct --out OUT.pct [--disk N] [--op read|write] [--from-us T] [--until-us T]
@@ -33,19 +32,11 @@
 //! through a lazily-verified memory map and writes a fresh `.pct` file
 //! in constant memory, so trimming or combining multi-GB corpora never
 //! materializes a record vector.
-//!
-//! `repro bench` times the single-threaded simulation hot path on a
-//! fixed policy × workload matrix — each cell measured `--reps N`
-//! times (default 3), reported as median + spread — and writes
-//! `BENCH_repro.json`. `repro bench --check` instead compares the
-//! fresh medians against the committed `BENCH_repro.json` and exits
-//! non-zero if any policy's aggregate throughput regressed by more
-//! than 15%.
 
 use std::env;
 use std::process::ExitCode;
 
-use pc_experiments::{ablations, bench, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9};
+use pc_experiments::{ablations, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9};
 use pc_experiments::{nonstationary, surgery, table1, table2, table3, Params, TraceKind};
 
 const EXPERIMENTS: [&str; 26] = [
@@ -77,10 +68,6 @@ const EXPERIMENTS: [&str; 26] = [
     "nonstationary",
 ];
 
-const BENCH_PATH: &str = "BENCH_repro.json";
-/// Where `bench --check` records the fresh (uncommitted) run.
-const FRESH_PATH: &str = "BENCH_fresh.json";
-
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace") {
@@ -89,14 +76,10 @@ fn main() -> ExitCode {
     let mut which = None;
     let mut params = Params::paper();
     let mut jobs_flag = None;
-    let mut check = false;
-    let mut reps = bench::DEFAULT_REPS;
-    let mut reps_flag = false;
     let mut workload = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--check" => check = true,
             "--scale" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(s) if s > 0.0 => params.scale = s,
                 _ => return usage("--scale needs a positive number"),
@@ -117,13 +100,6 @@ fn main() -> ExitCode {
                 Some(name) => workload = Some(name.clone()),
                 None => return usage("--workload needs a workload name"),
             },
-            "--reps" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => {
-                    reps = n;
-                    reps_flag = true;
-                }
-                _ => return usage("--reps needs a positive repeat count"),
-            },
             "--help" | "-h" => return usage(""),
             name if which.is_none() => which = Some(name.to_owned()),
             other => return usage(&format!("unexpected argument: {other}")),
@@ -142,15 +118,6 @@ fn main() -> ExitCode {
         return usage("missing experiment name");
     };
 
-    if which == "bench" {
-        return run_bench(&params, reps, check);
-    }
-    if check {
-        return usage("--check only applies to `repro bench`");
-    }
-    if reps_flag {
-        return usage("--reps only applies to `repro bench`");
-    }
     // `--workload nonstationary:NAME` narrows the nonstationary matrix
     // to one scenario; no other experiment takes a workload override.
     let scenario = match workload.as_deref() {
@@ -215,115 +182,6 @@ fn run_one(name: &str, params: &Params, scenario: Option<pc_trace::Scenario>) {
     };
     println!("{}", output.text);
     println!("[{name} done in {:.1?}]\n", started.elapsed());
-}
-
-/// The committed canonical captured fixture replayed by the
-/// `server-trace-replay-corpus` bench row.
-fn corpus_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/corpus.pct")
-}
-
-fn run_bench(params: &Params, reps: usize, check: bool) -> ExitCode {
-    let mut rows = bench::run(params, reps);
-    // One advisory end-to-end row over the real serving path; it is
-    // excluded from the aggregate, so a socket-flaky runner degrades
-    // to the simulation-only matrix instead of failing the bench.
-    match bench::server_row(0.5) {
-        Ok(row) => rows.push(row),
-        Err(e) => eprintln!("warning: skipping advisory server bench row: {e}"),
-    }
-    match bench::payload_server_row(0.5) {
-        Ok(row) => rows.push(row),
-        Err(e) => eprintln!("warning: skipping advisory payload bench row: {e}"),
-    }
-    match bench::trace_replay_row(200_000) {
-        Ok(row) => rows.push(row),
-        Err(e) => eprintln!("warning: skipping advisory trace-replay bench row: {e}"),
-    }
-    match bench::trace_ingest_rows(500_000) {
-        Ok(ingest) => rows.extend(ingest),
-        Err(e) => eprintln!("warning: skipping advisory trace-ingest bench rows: {e}"),
-    }
-    // The committed-corpus replay row is NOT advisory: the fixture is
-    // fixed bytes, so the row is comparable across runs and gates like
-    // the simulation rows (with the wide band its recorded spread buys
-    // it). A missing row therefore fails `--check` rather than being
-    // silently skipped.
-    match bench::corpus_replay_row(&corpus_path(), reps) {
-        Ok(row) => rows.push(row),
-        Err(e) => eprintln!("warning: corpus bench row failed (gated in --check): {e}"),
-    }
-    println!("{}", bench::render(&rows));
-    let json = bench::to_json(params, &rows);
-    if check {
-        // Record the fresh run next to the baseline (never committed;
-        // CI uploads it as an artifact) before comparing, so the data
-        // survives even when the check fails.
-        match std::fs::write(FRESH_PATH, &json) {
-            Ok(()) => println!("[wrote {FRESH_PATH}]"),
-            Err(e) => eprintln!("warning: writing {FRESH_PATH}: {e}"),
-        }
-        let committed = match std::fs::read_to_string(BENCH_PATH) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: reading {BENCH_PATH}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        let Some((scale, baseline)) = bench::parse_committed(&committed) else {
-            eprintln!("error: {BENCH_PATH} has no aggregate_req_per_sec section");
-            return ExitCode::from(1);
-        };
-        if (scale - params.scale).abs() > 1e-9 {
-            println!(
-                "[note: baseline recorded at scale {scale}, this run used {}]",
-                params.scale
-            );
-        }
-        // The gate is the per-row spread-aware check: each committed row
-        // fails only past max(15%, 3x its recorded spread), so tight
-        // simulation rows gate tight while the socket-path corpus row
-        // gets the band its noise demonstrably needs. The aggregate
-        // comparison stays in the output as the release-over-release
-        // trend line. Baselines predating per-row data fall back to
-        // gating on the aggregate alone.
-        if let Some(base_rows) = bench::parse_committed_rows(&committed) {
-            match bench::check(&bench::aggregate(&rows), &baseline, bench::CHECK_TOLERANCE) {
-                Ok(report) | Err(report) => println!("{report}"),
-            }
-            println!("[aggregate trend above is informational; the per-row check gates]");
-            return match bench::check_rows(&rows, &base_rows) {
-                Ok(report) => {
-                    println!("{report}");
-                    ExitCode::SUCCESS
-                }
-                Err(report) => {
-                    eprintln!("{report}");
-                    ExitCode::from(1)
-                }
-            };
-        }
-        return match bench::check(&bench::aggregate(&rows), &baseline, bench::CHECK_TOLERANCE) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(report) => {
-                eprintln!("{report}");
-                ExitCode::from(1)
-            }
-        };
-    }
-    match std::fs::write(BENCH_PATH, &json) {
-        Ok(()) => {
-            println!("[wrote {BENCH_PATH}]");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: writing {BENCH_PATH}: {e}");
-            ExitCode::from(1)
-        }
-    }
 }
 
 /// `repro trace export|info|filter|slice|merge|rescale`: serialize a
@@ -587,13 +445,7 @@ fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("error: {error}\n");
     }
-    eprintln!(
-        "usage: repro <experiment|all|bench> [--scale X] [--seed N] [--jobs N] [--reps N] [--check] [--trace FILE.pct]"
-    );
-    eprintln!(
-        "       repro bench --reps N  measures each cell N times, reporting medians (default 3)"
-    );
-    eprintln!("       repro bench --check   compares against the committed BENCH_repro.json");
+    eprintln!("usage: repro <experiment|all> [--scale X] [--seed N] [--jobs N] [--trace FILE.pct]");
     eprintln!("       repro --trace FILE.pct <experiment>   replays a binary trace file");
     eprintln!(
         "       repro nonstationary [--workload nonstationary:<diurnal|flash-crowd|churn|phase-change>]"

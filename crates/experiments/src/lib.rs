@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod bench;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;

@@ -8,9 +8,9 @@
 //! these maps comes from a deterministic trace generator, not from an
 //! untrusted network peer.
 //!
-//! Like `pc-rand`/`pc-criterion`, the package is `pc-fxhash` but the
-//! library is named `rustc_hash` so call sites keep idiomatic imports
-//! while the build stays fully offline.
+//! Like `pc-rand`, the package is `pc-fxhash` but the library is named
+//! `rustc_hash` so call sites keep idiomatic imports while the build
+//! stays fully offline.
 //!
 //! ```
 //! use rustc_hash::FxHashMap;

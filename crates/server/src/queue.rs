@@ -301,14 +301,15 @@ mod tests {
         }
         drop(tx);
         let mut popped = 0usize;
-        let mut max_depth = 0usize;
         while let Some(g) = rx.pop() {
-            max_depth = max_depth.max(rx.depth() + g);
             popped += g;
         }
         let granted: usize = joins.into_iter().map(|j| j.join().unwrap()).sum();
         assert_eq!(popped, granted, "every granted request must be popped");
-        assert!(max_depth <= 64, "depth overshot the bound: {max_depth}");
-        assert!(rx.high_water() <= 64);
+        // `high_water` is recorded under the queue's mutex; sampling
+        // `depth()` here, after `pop()` has released it, would count a
+        // producer's re-reservation of the freed weight twice.
+        let high_water = rx.high_water();
+        assert!(high_water <= 64, "depth overshot the bound: {high_water}");
     }
 }

@@ -2,17 +2,18 @@
 //! management, wired together the way the paper's CacheSim + DiskSim
 //! stack was.
 //!
-//! Two runners cover the paper's two experiment families:
+//! One loop — an [`OnlineStepper`] advancing cache and disks together,
+//! request by request — sits behind both of the paper's experiment
+//! families:
 //!
-//! * [`run_replacement`] — the §5 replacement-policy experiments
-//!   (Figures 6–8). Two-phase: the cache filters the trace into per-disk
-//!   request sequences; each disk then replays its sequence under Oracle
-//!   or Practical DPM. Valid because no §5 policy reads live disk power
-//!   state.
+//! * [`run_replacement`] (and [`run_replacement_stream`], the same loop
+//!   fed from an iterator) — the §5 replacement-policy experiments
+//!   (Figures 6–8), under Oracle or Practical DPM. Oracle prices each
+//!   idle gap when the next arrival closes it, so it needs no second
+//!   pass.
 //! * [`run_write_policy`] — the §6 write-policy experiments (Figure 9).
-//!   Integrated single pass: WBEU and WTDU consult the disks' *current*
-//!   power mode, so cache and disks co-simulate (Practical DPM, like the
-//!   paper's published panels).
+//!   WBEU and WTDU consult the disks' *current* power mode, so the DPM
+//!   must be causal (Practical, like the paper's published panels).
 //!
 //! # Examples
 //!

@@ -119,7 +119,7 @@ pub struct StepOutcome {
 /// The reusable per-request service/energy step: one cache, one virtual
 /// disk array (plus the WTDU log device), advanced request by request.
 ///
-/// This is the integrated simulation loop of [`run_replacement`] /
+/// This is the simulation loop of [`run_replacement`] /
 /// [`run_write_policy`] factored out so an *online* host — the `pc-server`
 /// daemon, a shard thread, a REPL — can push requests as they arrive
 /// instead of replaying a prebuilt [`Trace`]. Each [`step`](Self::step)

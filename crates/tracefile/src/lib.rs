@@ -15,9 +15,6 @@
 //!
 //! * **Streamed** — [`TraceReader`] wraps any [`std::io::Read`], verifying
 //!   each chunk's CRC before yielding its records.
-//! * **Zero-parse** — [`TraceSlice`] views a whole in-memory (e.g.
-//!   memory-mapped) file; after one validation pass, random access is
-//!   pure offset arithmetic over the fixed-width records.
 //! * **Mapped** — [`MappedTrace`] memory-maps a file itself (a
 //!   first-party `mmap(2)` wrapper, the crate's only `unsafe`) and
 //!   verifies chunk CRCs lazily, on first touch, so opening a
@@ -60,7 +57,6 @@ mod mapped;
 #[allow(unsafe_code)]
 mod mmap;
 mod reader;
-mod slice;
 mod writer;
 
 pub use format::{
@@ -69,5 +65,4 @@ pub use format::{
 };
 pub use mapped::{MappedTrace, Records};
 pub use reader::{open, read_trace, TraceReader};
-pub use slice::TraceSlice;
 pub use writer::{write_records, write_trace, TraceFileWriter, TraceWriter};

@@ -28,9 +28,9 @@ impl Backing {
     }
 }
 
-/// An mmap-backed [`TraceSlice`](crate::TraceSlice) with lazy per-chunk
-/// CRC verification: random access without reading — let alone
-/// checksumming — the whole file first.
+/// An mmap-backed random-access view over a `.pct` file with lazy
+/// per-chunk CRC verification: random access without reading — let
+/// alone checksumming — the whole file first.
 ///
 /// Construction maps the file and makes one *structural* pass: header,
 /// chunk framing, regularity, reserved bytes, the end marker's CRC, and

@@ -6,7 +6,7 @@
 //! silently different data.
 
 use pc_trace::{Record, Workload};
-use pc_tracefile::{TraceReader, TraceWriter, RECORD_BYTES};
+use pc_tracefile::{MappedTrace, TraceReader, TraceWriter, RECORD_BYTES};
 
 /// Serializes `records` into an in-memory `.pct` image with the given
 /// chunk size.
@@ -44,6 +44,7 @@ fn every_family_round_trips_at_awkward_lengths() {
 fn an_empty_trace_round_trips() {
     let bytes = image(4, &[], 64);
     assert_eq!(decode(&bytes).unwrap(), Vec::new());
+    assert!(MappedTrace::from_bytes(bytes).unwrap().is_empty());
 }
 
 #[test]
@@ -53,14 +54,20 @@ fn truncation_at_every_byte_fails_cleanly() {
     let bytes = image(workload.disk_count(), &records, 64);
     // Every proper prefix must produce an error — a truncated file can
     // never masquerade as a complete one, because the end marker (or
-    // the bytes before it) is missing.
+    // the bytes before it) is missing. Both decoders, and the mapped
+    // one already at construction.
     for cut in 0..bytes.len() {
         assert!(
-            decode(&bytes[..cut]).is_err(),
+            decode(&bytes[..cut]).is_err()
+                && MappedTrace::from_bytes(bytes[..cut].to_vec()).is_err(),
             "prefix of {cut}/{} bytes must be rejected",
             bytes.len()
         );
     }
+    // One byte too many is as wrong as one too few.
+    let mut long = bytes;
+    long.push(0);
+    assert!(decode(&long).is_err() && MappedTrace::from_bytes(long).is_err());
 }
 
 #[test]

@@ -104,31 +104,47 @@ fn file_backed_replay_matches_the_in_memory_path_byte_for_byte() {
 /// (`run_replacement_stream`, no materialized `Trace`, no sort) must
 /// serialize byte-identically to materializing the file through
 /// `read_trace`, for every family and for both an on-line and the
-/// power-aware policy.
+/// power-aware policy. The committed capture fixture
+/// (`tests/data/corpus.pct`, 3 988 records off a live multi-connection
+/// `pc-server`) rides along as the one input no generator wrote; its
+/// connections interleave, so the map's records take the stable time
+/// sort `read_trace` applies before they stream.
 #[test]
 fn streaming_off_the_map_matches_the_materialized_path_byte_for_byte() {
     use pc_experiments::traceio;
     use pc_sim::run_replacement_stream;
-    use pc_trace::Workload;
+    use pc_trace::{Record, Workload};
     use pc_tracefile::MappedTrace;
 
-    for name in ["synthetic", "oltp", "cello96"] {
-        let workload = Workload::parse(name).unwrap().with_requests(3_000);
-        let path =
-            std::env::temp_dir().join(format!("pc-stream-{name}-{}.pct", std::process::id()));
-        traceio::export(&workload, 42, &path).unwrap();
+    for name in ["synthetic", "oltp", "cello96", "corpus.pct"] {
+        let exported = name != "corpus.pct";
+        let path = if exported {
+            let workload = Workload::parse(name).unwrap().with_requests(3_000);
+            let path =
+                std::env::temp_dir().join(format!("pc-stream-{name}-{}.pct", std::process::id()));
+            traceio::export(&workload, 42, &path).unwrap();
+            path
+        } else {
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/corpus.pct")
+        };
         let materialized = pc_tracefile::read_trace(&path).unwrap();
         let map = MappedTrace::open(&path).unwrap();
-        assert!(map.is_time_sorted(), "exports are time-ordered");
+        assert_eq!(map.len(), if exported { 3_000 } else { 3_988 }, "{name}");
+        assert_eq!(map.is_time_sorted(), exported, "{name}");
+        let resorted: Option<Vec<Record>> = (!exported).then(|| {
+            let mut records: Vec<Record> = map.records().map(Result::unwrap).collect();
+            records.sort_by_key(|r| r.time);
+            records
+        });
 
         for policy in [PolicySpec::Lru, PolicySpec::PaLru] {
             let a = run_replacement(&materialized, &policy, &SimConfig::default());
-            let b = run_replacement_stream(
-                map.disk_count(),
-                map.records().map(Result::unwrap),
-                &policy,
-                &SimConfig::default(),
-            );
+            let records: Box<dyn Iterator<Item = Record>> = match &resorted {
+                None => Box::new(map.records().map(Result::unwrap)),
+                Some(sorted) => Box::new(sorted.iter().copied()),
+            };
+            let b =
+                run_replacement_stream(map.disk_count(), records, &policy, &SimConfig::default());
             assert_eq!(
                 a.to_json(),
                 b.to_json(),
@@ -136,7 +152,9 @@ fn streaming_off_the_map_matches_the_materialized_path_byte_for_byte() {
                 a.policy
             );
         }
-        std::fs::remove_file(&path).unwrap();
+        if exported {
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }
 
