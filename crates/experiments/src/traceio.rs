@@ -30,8 +30,7 @@ pub fn export(workload: &Workload, seed: u64, path: &Path) -> io::Result<u64> {
 }
 
 /// Reads a `.pct` file and renders a one-paragraph description: header
-/// geometry plus the workload-shape statistics the `tracegen stats`
-/// command reports for text traces.
+/// geometry plus the workload-shape statistics ([`TraceStats`]).
 ///
 /// # Errors
 ///

@@ -34,7 +34,7 @@ fn install_signal_handlers() {
 
 const USAGE: &str = "usage: pc-server [--addr HOST:PORT] [--shards N] [--disks N] \
 [--policy NAME] [--write-policy NAME] [--cache-blocks N] [--prefetch N] \
-[--shard-queue N] [--slow-shard IDX:MICROS] [--io-threads N] [--legacy-threads] \
+[--shard-queue N] [--slow-shard IDX:MICROS] [--io-threads N] \
 [--block-bytes N] [--corrupt-rate N] [--capture FILE.pct]\n\
   policies: lru fifo arc mq lirs 2q pa-lru pa-arc pa-mq pa-lirs pa-2q meta\n\
   (--policy meta adapts: it re-ranks the fixed policies each epoch and\n\
@@ -43,8 +43,7 @@ const USAGE: &str = "usage: pc-server [--addr HOST:PORT] [--shards N] [--disks N
   --shard-queue bounds each shard's admission queue (requests); a full\n\
   queue answers BUSY. --slow-shard injects a per-request service delay\n\
   into one shard (fault injection for backpressure tests).\n\
-  --io-threads sets the epoll event-loop thread count (0 = auto);\n\
-  --legacy-threads restores the thread-per-connection front-end.\n\
+  --io-threads sets the epoll event-loop thread count (0 = auto).\n\
   --block-bytes sets the data-plane block size (READ_DATA/WRITE_DATA\n\
   payload bytes per block, default 4096). --corrupt-rate N flips one\n\
   slab byte before every Nth verified read per shard (0 = off): CRC\n\
@@ -73,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
     let mut shard_queue = DEFAULT_QUEUE_BOUND;
     let mut slow_shard = None;
     let mut io_threads = 0usize;
-    let mut legacy_threads = false;
     let mut block_bytes = pc_server::protocol::DEFAULT_BLOCK_BYTES;
     let mut corrupt_rate = 0u64;
     let mut capture = None;
@@ -125,7 +123,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--io-threads: {e}"))?
             }
-            "--legacy-threads" => legacy_threads = true,
             "--block-bytes" => {
                 block_bytes = value("--block-bytes")?
                     .parse()
@@ -160,7 +157,6 @@ fn parse_args() -> Result<Args, String> {
         .with_sim(sim)
         .with_queue_bound(shard_queue)
         .with_io_threads(io_threads)
-        .with_legacy_threads(legacy_threads)
         .with_block_bytes(block_bytes)
         .with_corrupt_every(corrupt_rate);
     if let Some(slow) = slow_shard {
@@ -212,9 +208,7 @@ fn main() -> ExitCode {
         args.write_name,
         args.engine.sim.cache_blocks,
         args.engine.queue_bound,
-        if args.engine.legacy_threads {
-            "legacy-threads".to_owned()
-        } else if args.engine.io_threads == 0 {
+        if args.engine.io_threads == 0 {
             "event-loop(auto)".to_owned()
         } else {
             format!("event-loop({})", args.engine.io_threads)

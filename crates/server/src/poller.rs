@@ -25,9 +25,10 @@
 //! registration and no wakeups.
 //!
 //! On non-Linux hosts the module compiles to a stub whose constructor
-//! returns [`std::io::ErrorKind::Unsupported`]; `server.rs` detects
-//! that at runtime and falls back to the legacy thread-per-connection
-//! path, keeping the crate portable without a `cfg` spread.
+//! returns [`std::io::ErrorKind::Unsupported`], and `Server::run`
+//! returns that error: the TCP daemon is Linux-only, while the rest of
+//! the crate (the in-process cluster included) still builds and runs
+//! there without a `cfg` spread.
 
 #[cfg(target_os = "linux")]
 pub use imp::{set_send_buffer, Poller, Waker};
@@ -302,13 +303,12 @@ mod fallback {
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use the legacy thread-per-connection path",
+            "the pc-server TCP front-end needs epoll and runs on Linux only",
         )
     }
 
     /// Stub poller for non-Linux hosts: construction fails with
-    /// [`io::ErrorKind::Unsupported`] and the server falls back to the
-    /// legacy blocking path.
+    /// [`io::ErrorKind::Unsupported`], which `Server::run` returns.
     #[derive(Debug)]
     pub struct Poller {}
 

@@ -86,6 +86,24 @@ pub fn max_request_frame(block_bytes: usize) -> usize {
     (MAX_REQUEST_FRAME + MAX_DATA_BLOCKS as usize * block_bytes).min(MAX_FRAME)
 }
 
+/// Whether a decoded data request honours the size contract for a
+/// server serving `block_bytes`-byte blocks: reads are bodiless, writes
+/// carry exactly `blocks.max(1) × block_bytes`, and both respect
+/// [`MAX_DATA_BLOCKS`]. The server checks this before batching; a
+/// violation is a protocol error that kills the connection.
+#[must_use]
+pub fn valid_data_request(write: bool, blocks: u16, payload: &[u8], block_bytes: usize) -> bool {
+    let blocks = blocks.max(1);
+    if blocks > MAX_DATA_BLOCKS {
+        return false;
+    }
+    if write {
+        payload.len() == blocks as usize * block_bytes
+    } else {
+        payload.is_empty()
+    }
+}
+
 const OP_READ: u8 = 0x01;
 const OP_WRITE: u8 = 0x02;
 const OP_STATS: u8 = 0x03;
@@ -418,8 +436,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         OP_READ_DATA | OP_WRITE_DATA => {
             // READ_DATA is bodiless; WRITE_DATA carries at least one
             // block of payload. Exact payload sizing against the
-            // server's block_bytes happens in the serving layer, which
-            // knows the configuration.
+            // server's block_bytes is `valid_data_request`, which the
+            // serving layer calls with its configuration.
             if rest.len() < 18 || (op == OP_READ_DATA && rest.len() != 18) {
                 return Err(ProtoError::Truncated);
             }
@@ -827,6 +845,35 @@ mod tests {
         assert!(cap <= MAX_FRAME);
         // Degenerate block sizes clamp instead of overflowing.
         assert_eq!(max_request_frame(MAX_FRAME), MAX_FRAME);
+    }
+
+    #[test]
+    fn data_requests_must_match_the_block_size_contract() {
+        const BB: usize = 512;
+        let max = MAX_DATA_BLOCKS;
+        // (write, blocks, payload bytes, valid)
+        let cases = [
+            (false, 1, 0, true),
+            (false, 0, 0, true), // 0 blocks is treated as 1
+            (false, max, 0, true),
+            (false, max + 1, 0, false),
+            (false, 1, 1, false), // reads are bodiless
+            (true, 1, BB, true),
+            (true, 0, BB, true),
+            (true, 3, 3 * BB, true),
+            (true, 3, 3 * BB - 1, false),
+            (true, 3, 3 * BB + 1, false),
+            (true, 1, 0, false),
+            (true, max, max as usize * BB, true),
+            (true, max + 1, (max as usize + 1) * BB, false),
+        ];
+        for (write, blocks, len, valid) in cases {
+            assert_eq!(
+                valid_data_request(write, blocks, &vec![0; len], BB),
+                valid,
+                "write={write} blocks={blocks} payload={len}"
+            );
+        }
     }
 
     /// A reader that hands out at most 3 bytes per call, to exercise

@@ -9,15 +9,15 @@
 //!                    └───────────── reply hub (token, bytes) ◀──────────┘
 //! ```
 //!
-//! The default front-end is an **event loop**: a handful of IO threads,
-//! each multiplexing thousands of nonblocking connections through one
+//! The front-end is an **event loop**: a handful of IO threads, each
+//! multiplexing thousands of nonblocking connections through one
 //! [`Poller`] (a first-party epoll wrapper — see [`crate::poller`]).
 //! Per readable wakeup a connection's buffered bytes are drained,
 //! *every* complete frame is decoded, and the decoded requests are
 //! submitted to shards as per-shard batches through the bounded
-//! [`queue`] admission path — one `try_reserve` covering each batch, so
-//! the exactly-once IO-or-BUSY invariant from the blocking front-end
-//! carries over unchanged. Shard replies route back to the owning IO
+//! [`queue`] admission path — one `try_reserve` covers each batch, so
+//! every request is answered exactly once, with its IO result or with
+//! `BUSY`. Shard replies route back to the owning IO
 //! thread over a reply hub (an mpsc channel plus an eventfd [`Waker`]),
 //! are queued on the connection's scatter-gather write buffer, and any
 //! partial write arms `EPOLLOUT` for the rest. An idle connection
@@ -25,12 +25,11 @@
 //! — not a thread stack — and a lazy-deletion deadline heap sweeps
 //! silent peers after the idle timeout.
 //!
-//! The pre-event-loop **legacy** front-end (reader + writer thread per
-//! connection, blocking reads) is retained behind
-//! [`EngineConfig::legacy_threads`] for differential testing, and is
-//! the automatic fallback on hosts without epoll.
+//! The TCP daemon is **Linux-only**: [`Server::run`] needs epoll and
+//! returns `ErrorKind::Unsupported` elsewhere. The simulator and the
+//! in-process cluster ([`crate::InProcCluster`]) stay portable.
 //!
-//! Admission is **bounded** on both paths: each shard consumes work
+//! Admission is **bounded**: each shard consumes work
 //! through a [`queue`] holding at most [`EngineConfig::queue_bound`]
 //! requests. A batch that does not fit answers the overflow with
 //! `BUSY` frames (carrying the shard's queue depth) instead of
@@ -46,8 +45,8 @@
 //! [`ShardSnapshot`] for the closing report.
 
 use std::collections::BinaryHeap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -58,18 +57,18 @@ use pc_units::SimTime;
 use crate::capture::{Capture, CaptureReport, CaptureRing, DEFAULT_CAPTURE_QUEUE};
 use crate::conn::{Conn, FillOutcome};
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::protocol::{self, FrameBuf, Request, Response};
+use crate::protocol::{self, valid_data_request, Request, Response};
 use crate::queue::{self, QueueReceiver, QueueSender, TryPushError};
 use crate::shard::{shard_of, EngineConfig, ShardEngine};
-use crate::stats::{CaptureSnapshot, ClusterSnapshot, IoThreadSnapshot, ShardSnapshot};
+use crate::stats::{ClusterSnapshot, IoThreadSnapshot, ShardSnapshot};
 use pc_units::{BlockNo, DiskId};
 
 /// Flush a connection's pending batch to its shard once it holds this
 /// many requests, even if more input is buffered.
 const BATCH_LIMIT: usize = 1024;
 
-/// How often blocked legacy readers / the accept loop re-check the stop
-/// flag; also the event loop's maximum poll timeout for the same check.
+/// How often the accept loop re-checks the stop flag; also the event
+/// loop's maximum poll timeout for the same check.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Default per-connection idle timeout: a peer that sends no bytes for
@@ -97,47 +96,20 @@ struct IoReq {
     payload: Option<Vec<u8>>,
 }
 
-/// Validates a data request against the server's block size before it
-/// is batched: reads are bodiless, writes carry exactly
-/// `blocks × block_bytes`, and both respect the per-request block cap.
-/// A violation is a protocol error that kills the connection.
-fn valid_data_request(write: bool, blocks: u16, payload: &[u8], block_bytes: usize) -> bool {
-    let blocks = blocks.max(1);
-    if blocks > protocol::MAX_DATA_BLOCKS {
-        return false;
-    }
-    if write {
-        payload.len() == blocks as usize * block_bytes
-    } else {
-        payload.is_empty()
-    }
-}
-
-/// Where a shard sends a batch's encoded responses.
-enum ReplySink {
-    /// Legacy path: the connection's dedicated writer thread.
-    Thread(Sender<WriterMsg>),
-    /// Event path: the owning IO thread's reply hub, tagged with the
-    /// connection's slab token; the waker interrupts its poll.
-    Event {
-        hub: Sender<(u64, Vec<u8>)>,
-        token: u64,
-        waker: Arc<Waker>,
-    },
+/// Where a shard sends a batch's encoded responses: the owning IO
+/// thread's reply hub, tagged with the connection's slab token; the
+/// waker interrupts its poll.
+struct ReplySink {
+    hub: Sender<(u64, Vec<u8>)>,
+    token: u64,
+    waker: Arc<Waker>,
 }
 
 impl ReplySink {
     fn send(&self, bytes: Vec<u8>) {
-        match self {
-            // The receiving side may already be gone mid-shutdown.
-            ReplySink::Thread(tx) => {
-                let _ = tx.send(WriterMsg::Bytes(bytes));
-            }
-            ReplySink::Event { hub, token, waker } => {
-                if hub.send((*token, bytes)).is_ok() {
-                    waker.wake();
-                }
-            }
+        // The receiving side may already be gone mid-shutdown.
+        if self.hub.send((self.token, bytes)).is_ok() {
+            self.waker.wake();
         }
     }
 }
@@ -151,12 +123,6 @@ enum ShardMsg {
     Stats { reply: Sender<ShardSnapshot> },
 }
 
-/// Bytes for a legacy connection's writer thread.
-enum WriterMsg {
-    Bytes(Vec<u8>),
-    Close,
-}
-
 /// One IO thread's live gauges, shared as atomics so a STATS request on
 /// any thread reads every thread's current values.
 #[derive(Debug, Default)]
@@ -168,25 +134,16 @@ struct IoGauges {
     buffer_bytes: AtomicU64,
 }
 
-impl IoGauges {
-    fn snapshot(&self, thread: usize) -> IoThreadSnapshot {
-        IoThreadSnapshot {
-            thread,
-            connections: self.connections.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            frames: self.frames.load(Ordering::Relaxed),
-            writeback_bytes: self.writeback_bytes.load(Ordering::Relaxed),
-            buffer_bytes: self.buffer_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 fn io_snapshots(gauges: &[IoGauges]) -> Vec<IoThreadSnapshot> {
-    gauges
-        .iter()
-        .enumerate()
-        .map(|(i, g)| g.snapshot(i))
-        .collect()
+    let snapshot = |(thread, g): (usize, &IoGauges)| IoThreadSnapshot {
+        thread,
+        connections: g.connections.load(Ordering::Relaxed),
+        wakeups: g.wakeups.load(Ordering::Relaxed),
+        frames: g.frames.load(Ordering::Relaxed),
+        writeback_bytes: g.writeback_bytes.load(Ordering::Relaxed),
+        buffer_bytes: g.buffer_bytes.load(Ordering::Relaxed),
+    };
+    gauges.iter().enumerate().map(snapshot).collect()
 }
 
 /// The daemon: bind, then [`run`](Self::run) until stopped.
@@ -261,47 +218,9 @@ impl Server {
         Arc::clone(&self.stop)
     }
 
-    /// Serves until the stop flag is set, then drains and returns the
-    /// final snapshot. Uses the event-loop front-end unless
-    /// [`EngineConfig::legacy_threads`] is set or the host has no epoll
-    /// (non-Linux), in which case the legacy blocking path serves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fatal listener errors; per-connection errors just
-    /// close that connection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard or IO thread panicked (the engine is poisoned
-    /// beyond reporting).
-    pub fn run(self) -> std::io::Result<RunSummary> {
-        if self.engine.legacy_threads {
-            return self.run_legacy();
-        }
-        match Poller::new() {
-            Ok(_probe) => self.run_event(),
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => self.run_legacy(),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Starts the live trace capture when configured; `None` otherwise.
-    fn start_capture(&self) -> std::io::Result<Option<Capture>> {
-        match &self.capture {
-            Some(path) => Ok(Some(Capture::start(
-                path,
-                self.engine.disks,
-                DEFAULT_CAPTURE_QUEUE,
-            )?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Builds the shard threads; shared by both front-ends. Each shard
-    /// holds its own handle to the capture ring (when capturing) so the
-    /// writer thread's channel disconnects exactly when the last shard
-    /// joins.
+    /// Builds the shard threads. Each shard holds its own handle to the
+    /// capture ring (when capturing) so the writer thread's channel
+    /// disconnects exactly when the last shard joins.
     fn spawn_shards(
         &self,
         busy_gauges: &Arc<Vec<AtomicU64>>,
@@ -326,29 +245,46 @@ impl Server {
         (shard_txs, shard_joins)
     }
 
-    /// The event-loop front-end: accept here, serve on N IO threads.
-    fn run_event(self) -> std::io::Result<RunSummary> {
+    /// Serves until the stop flag is set, then drains and returns the
+    /// final snapshot: accept here, serve on N event-loop IO threads.
+    ///
+    /// # Errors
+    ///
+    /// `ErrorKind::Unsupported` off Linux (the daemon needs epoll).
+    /// Fatal listener errors are returned after the drain, so shards
+    /// still close their books; per-connection errors just close that
+    /// connection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard or IO thread panicked (the engine is poisoned
+    /// beyond reporting).
+    pub fn run(self) -> std::io::Result<RunSummary> {
         let policy = self.engine.policy.name();
         let write_policy = self.engine.sim.write_policy.name().to_owned();
         let epoch = Instant::now();
 
-        let busy_gauges: Arc<Vec<AtomicU64>> =
-            Arc::new((0..self.engine.shards).map(|_| AtomicU64::new(0)).collect());
-        let capture = self.start_capture()?;
-        let capture_ring = capture.as_ref().map(Capture::ring);
-        let (shard_txs, shard_joins) = self.spawn_shards(&busy_gauges, capture_ring.as_ref());
-        let shard_txs = Arc::new(shard_txs);
-
         let nthreads = effective_io_threads(self.engine.io_threads);
-        let io_gauges: Arc<Vec<IoGauges>> =
-            Arc::new((0..nthreads).map(|_| IoGauges::default()).collect());
         let mut wakers = Vec::with_capacity(nthreads);
         let mut pollers = Vec::with_capacity(nthreads);
         for _ in 0..nthreads {
-            wakers.push(Arc::new(Waker::new()?));
             pollers.push(Poller::new()?);
+            wakers.push(Arc::new(Waker::new()?));
         }
         let wakers = Arc::new(wakers);
+        let io_gauges: Arc<Vec<IoGauges>> =
+            Arc::new((0..nthreads).map(|_| IoGauges::default()).collect());
+
+        let busy_gauges: Arc<Vec<AtomicU64>> =
+            Arc::new((0..self.engine.shards).map(|_| AtomicU64::new(0)).collect());
+        let capture = self
+            .capture
+            .as_ref()
+            .map(|path| Capture::start(path, self.engine.disks, DEFAULT_CAPTURE_QUEUE))
+            .transpose()?;
+        let capture_ring = capture.as_ref().map(Capture::ring);
+        let (shard_txs, shard_joins) = self.spawn_shards(&busy_gauges, capture_ring.as_ref());
+        let shard_txs = Arc::new(shard_txs);
 
         let mut intakes = Vec::with_capacity(nthreads);
         let mut io_joins = Vec::with_capacity(nthreads);
@@ -376,6 +312,7 @@ impl Server {
 
         self.listener.set_nonblocking(true)?;
         let mut connections = 0u64;
+        let mut fatal = None;
         while !self.stop.load(Ordering::Relaxed) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -385,10 +322,13 @@ impl Server {
                         wakers[at].wake();
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
+                Err(e) if accept_can_continue(&e) => std::thread::sleep(POLL_INTERVAL),
+                Err(e) => {
+                    // A broken listener still owes the clients their
+                    // replies and the shards their closed books.
+                    fatal = Some(e);
+                    self.stop.store(true, Ordering::Relaxed);
                 }
-                Err(e) => return Err(e),
             }
         }
 
@@ -408,102 +348,39 @@ impl Server {
             .into_iter()
             .map(|j| j.join().expect("shard thread panicked"))
             .collect();
-        let (final_capture, report) = finish_capture(capture, capture_ring)?;
+        // Every shard has joined: read the final capture gauges, release
+        // the last ring handle so the writer's channel disconnects, and
+        // wait for the file to finalize.
+        let capture_snap = capture_ring.as_ref().map(|r| r.snapshot());
+        drop(capture_ring);
+        let report = capture.map(Capture::finish).transpose()?;
+        if let Some(e) = fatal {
+            return Err(e);
+        }
         Ok(RunSummary {
             snapshot: ClusterSnapshot::new(policy, write_policy, shards)
                 .with_io(io)
-                .with_capture(final_capture),
-            connections,
-            capture: report,
-        })
-    }
-
-    /// The legacy thread-per-connection front-end (and the fallback for
-    /// hosts without epoll).
-    fn run_legacy(self) -> std::io::Result<RunSummary> {
-        let policy = self.engine.policy.name();
-        let write_policy = self.engine.sim.write_policy.name().to_owned();
-        let epoch = Instant::now();
-
-        let busy_gauges: Arc<Vec<AtomicU64>> =
-            Arc::new((0..self.engine.shards).map(|_| AtomicU64::new(0)).collect());
-        let capture = self.start_capture()?;
-        let capture_ring = capture.as_ref().map(Capture::ring);
-        let (shard_txs, shard_joins) = self.spawn_shards(&busy_gauges, capture_ring.as_ref());
-        let shard_txs = Arc::new(shard_txs);
-
-        self.listener.set_nonblocking(true)?;
-        let mut connections = 0u64;
-        let mut conn_joins = Vec::new();
-        while !self.stop.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    connections += 1;
-                    let txs = Arc::clone(&shard_txs);
-                    let stop = Arc::clone(&self.stop);
-                    let gauges = Arc::clone(&busy_gauges);
-                    let names = (policy.clone(), write_policy.clone());
-                    let idle_timeout = self.idle_timeout;
-                    let block_bytes = self.engine.block_bytes;
-                    let ring = capture_ring.as_ref().map(Arc::clone);
-                    conn_joins.push(std::thread::spawn(move || {
-                        // A dead connection is the client's problem, not
-                        // the daemon's.
-                        let _ = serve_conn(
-                            stream,
-                            &txs,
-                            &stop,
-                            epoch,
-                            &names,
-                            &gauges,
-                            idle_timeout,
-                            block_bytes,
-                            ring.as_deref(),
-                        );
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Drain: readers notice the flag within a poll interval and
-        // exit, dropping their shard senders; once ours go too, each
-        // shard's channel disconnects and it closes its books.
-        for j in conn_joins {
-            let _ = j.join();
-        }
-        drop(shard_txs);
-        let shards = shard_joins
-            .into_iter()
-            .map(|j| j.join().expect("shard thread panicked"))
-            .collect();
-        let (final_capture, report) = finish_capture(capture, capture_ring)?;
-        Ok(RunSummary {
-            snapshot: ClusterSnapshot::new(policy, write_policy, shards)
-                .with_capture(final_capture),
+                .with_capture(capture_snap),
             connections,
             capture: report,
         })
     }
 }
 
-/// Tears down a running capture after every shard has joined: read the
-/// final gauges, release the front-end's ring handle so the writer's
-/// channel disconnects, and wait for the file to finalize.
-fn finish_capture(
-    capture: Option<Capture>,
-    ring: Option<Arc<CaptureRing>>,
-) -> std::io::Result<(Option<CaptureSnapshot>, Option<CaptureReport>)> {
-    let Some(capture) = capture else {
-        return Ok((None, None));
-    };
-    let snap = ring.as_ref().map(|r| r.snapshot());
-    drop(ring);
-    let report = capture.finish()?;
-    Ok((snap, Some(report)))
+/// Whether the accept loop should sleep a [`POLL_INTERVAL`] and retry
+/// after `accept(2)` failed with `e`: nothing pending, a peer that reset
+/// before it was accepted, or a resource shortage (descriptors, socket
+/// buffers, memory) that closing connections will relieve. Anything
+/// else means the listener itself is broken.
+fn accept_can_continue(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{ConnectionAborted, ConnectionReset, WouldBlock};
+    // Linux errno values: std has no stable `ErrorKind` for most of these.
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ENOBUFS: i32 = 105;
+    matches!(e.kind(), WouldBlock | ConnectionAborted | ConnectionReset)
+        || matches!(e.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
 }
 
 /// Resolves the IO-thread count: explicit, or a quarter of the
@@ -596,7 +473,7 @@ fn io_thread_main(ctx: IoThreadCtx) {
     let mut events: Vec<Event> = Vec::new();
     loop {
         lp.adopt_new_conns();
-        lp.deliver_replies();
+        lp.deliver_replies(None);
         lp.sweep_idle();
         if lp.ctx.stop.load(Ordering::Relaxed) {
             break;
@@ -623,10 +500,6 @@ impl EventLoop {
         &self.ctx.io_gauges[self.ctx.thread]
     }
 
-    fn token_of(&self, idx: usize) -> u64 {
-        (u64::from(self.gens[idx]) << 32) | idx as u64
-    }
-
     /// Folds a connection's gauge deltas into the shared atomics.
     /// Wrapping arithmetic makes concurrent deltas from sibling threads
     /// commute.
@@ -645,7 +518,6 @@ impl EventLoop {
 
     /// Adopts connections handed over by the accept loop.
     fn adopt_new_conns(&mut self) {
-        use std::os::fd::AsRawFd;
         while let Ok(stream) = self.ctx.intake.try_recv() {
             let max_frame = protocol::max_request_frame(self.ctx.block_bytes);
             let Ok(conn) = Conn::new(stream, max_frame) else {
@@ -656,7 +528,7 @@ impl EventLoop {
                 self.gens.push(0);
                 self.slab.len() - 1
             });
-            let token = self.token_of(idx);
+            let token = token_of(idx, self.gens[idx]);
             if self
                 .ctx
                 .poller
@@ -686,33 +558,25 @@ impl EventLoop {
     }
 
     /// Delivers shard replies queued on the hub to their connections.
-    fn deliver_replies(&mut self) {
+    /// `detached` is an entry currently held out of the slab (the one
+    /// being served): its replies land on it directly.
+    fn deliver_replies(&mut self, mut detached: Option<&mut Entry>) {
         while let Ok((token, bytes)) = self.hub_rx.try_recv() {
             self.inflight = self.inflight.saturating_sub(1);
             let (idx, gen) = split_token(token);
-            let Some(mut entry) = self.take_entry(idx, gen) else {
-                continue; // Connection closed while the batch was in flight.
-            };
-            entry.inflight = entry.inflight.saturating_sub(1);
-            entry.conn.queue_write(bytes);
-            self.finish_entry(idx, entry);
-        }
-    }
-
-    /// Like [`deliver_replies`](Self::deliver_replies), but usable while
-    /// `entry` is detached from the slab: replies for `entry` land on it
-    /// directly, everyone else's go through the slab as usual.
-    fn deliver_replies_for(&mut self, entry: &mut Entry) {
-        while let Ok((token, bytes)) = self.hub_rx.try_recv() {
-            self.inflight = self.inflight.saturating_sub(1);
-            let (idx, gen) = split_token(token);
-            if idx == entry.idx && gen == entry.gen {
-                entry.inflight = entry.inflight.saturating_sub(1);
-                entry.conn.queue_write(bytes);
-            } else if let Some(mut other) = self.take_entry(idx, gen) {
-                other.inflight = other.inflight.saturating_sub(1);
-                other.conn.queue_write(bytes);
-                self.finish_entry(idx, other);
+            match detached.as_deref_mut() {
+                Some(entry) if (entry.idx, entry.gen) == (idx, gen) => {
+                    entry.inflight = entry.inflight.saturating_sub(1);
+                    entry.conn.queue_write(bytes);
+                }
+                // `None`: the connection closed while the batch was in flight.
+                _ => {
+                    if let Some(mut entry) = self.take_entry(idx, gen) {
+                        entry.inflight = entry.inflight.saturating_sub(1);
+                        entry.conn.queue_write(bytes);
+                        self.finish_entry(idx, entry);
+                    }
+                }
             }
         }
     }
@@ -778,10 +642,9 @@ impl EventLoop {
             return;
         }
         if ev.readable && !self.read_and_serve(&mut entry) {
-            // Protocol error or dead socket: nothing to salvage, and —
-            // matching the legacy front-end — decoded-but-unsubmitted
-            // requests from the poisoned stream are dropped, not
-            // bounced.
+            // Protocol error or dead socket: nothing to salvage, so
+            // decoded-but-unsubmitted requests from the poisoned stream
+            // are dropped, not bounced.
             for b in &mut self.batches {
                 b.clear();
             }
@@ -794,7 +657,6 @@ impl EventLoop {
     /// Re-arms interest, settles gauges, and either parks the entry
     /// back in the slab or closes it if it finished draining.
     fn finish_entry(&mut self, idx: usize, mut entry: Entry) {
-        use std::os::fd::AsRawFd;
         // Flush whatever got queued this round; EPOLLOUT handles the rest.
         if entry.conn.wants_write() && entry.conn.flush().is_err() {
             self.close_entry(idx, entry);
@@ -811,7 +673,7 @@ impl EventLoop {
             } else {
                 Interest::Readable
             };
-            let token = self.token_of(idx);
+            let token = token_of(idx, entry.gen);
             if self
                 .ctx
                 .poller
@@ -841,78 +703,53 @@ impl EventLoop {
         let mut decoded = 0u64;
         let mut ok = true;
         loop {
-            match entry.conn.next_request() {
-                Ok(Some(Request::Io {
+            let req = match entry.conn.next_request() {
+                Ok(Some(req)) => req,
+                Ok(None) => break,
+                Err(_) => {
+                    ok = false;
+                    break;
+                }
+            };
+            decoded += 1;
+            let (seq, write, disk, block, blocks, payload) = match req {
+                Request::Io {
                     seq,
                     write,
                     disk,
                     block,
                     blocks,
-                })) => {
-                    decoded += 1;
-                    let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
-                    self.batches[s].push(IoReq {
-                        seq,
-                        at_us,
-                        disk,
-                        block,
-                        blocks: u64::from(blocks),
-                        write,
-                        payload: None,
-                    });
-                    if self.batches[s].len() >= BATCH_LIMIT {
-                        self.submit_shard(s, entry);
-                    }
-                }
-                Ok(Some(Request::IoData {
+                } => (seq, write, disk, block, blocks, None),
+                Request::IoData {
                     seq,
                     write,
                     disk,
                     block,
                     blocks,
                     payload,
-                })) => {
-                    decoded += 1;
+                } => {
                     if !valid_data_request(write, blocks, &payload, self.ctx.block_bytes) {
                         ok = false;
                         break;
                     }
-                    let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
-                    self.batches[s].push(IoReq {
-                        seq,
-                        at_us,
-                        disk,
-                        block,
-                        blocks: u64::from(blocks),
-                        write,
-                        payload: Some(payload),
-                    });
-                    if self.batches[s].len() >= BATCH_LIMIT {
-                        self.submit_shard(s, entry);
-                    }
+                    (seq, write, disk, block, blocks, Some(payload))
                 }
-                Ok(Some(Request::Stats { seq })) => {
-                    decoded += 1;
+                Request::Stats { seq } => {
                     self.submit_all(entry);
                     self.gauges().frames.fetch_add(decoded, Ordering::Relaxed);
                     decoded = 0;
-                    let json = collect_stats(
-                        &self.ctx.shard_txs,
-                        &self.ctx.names,
-                        &self.ctx.io_gauges,
-                        self.ctx.capture.as_deref(),
-                    );
+                    let json = collect_stats(&self.ctx);
                     // Shards answer Stats *after* the batches queued ahead
                     // of it (FIFO), so every IO reply that must precede
                     // this snapshot is already on the hub: deliver them
-                    // first to keep the legacy front-end's reply order.
-                    self.deliver_replies_for(entry);
+                    // first so replies leave in request order.
+                    self.deliver_replies(Some(entry));
                     let mut out = Vec::with_capacity(json.len() + 16);
                     protocol::encode_response(&Response::Stats { seq, json }, &mut out);
                     entry.conn.queue_write(out);
+                    continue;
                 }
-                Ok(Some(Request::Shutdown { seq })) => {
-                    decoded += 1;
+                Request::Shutdown { seq } => {
                     self.submit_all(entry);
                     let mut out = Vec::new();
                     protocol::encode_response(&Response::Shutdown { seq }, &mut out);
@@ -921,12 +758,22 @@ impl EventLoop {
                     for w in self.ctx.all_wakers.iter() {
                         w.wake();
                     }
+                    continue;
                 }
-                Ok(None) => break,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
+            };
+            // The one place the front-end maps a request to a shard.
+            let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
+            self.batches[s].push(IoReq {
+                seq,
+                at_us,
+                disk,
+                block,
+                blocks: u64::from(blocks),
+                write,
+                payload,
+            });
+            if self.batches[s].len() >= BATCH_LIMIT {
+                self.submit_shard(s, entry);
             }
         }
         self.gauges().frames.fetch_add(decoded, Ordering::Relaxed);
@@ -953,15 +800,14 @@ impl EventLoop {
             return;
         }
         let tx = &self.ctx.shard_txs[s];
-        let token = (u64::from(entry.gen) << 32) | entry.idx as u64;
         match tx.try_reserve(batch.len()) {
             Ok(granted) => {
                 let rejected = batch.split_off(granted);
                 tx.push_reserved(
                     ShardMsg::Io {
-                        reply: ReplySink::Event {
+                        reply: ReplySink {
                             hub: self.hub_tx.clone(),
-                            token,
+                            token: token_of(entry.idx, entry.gen),
                             waker: Arc::clone(&self.ctx.waker),
                         },
                         batch: std::mem::take(batch),
@@ -990,7 +836,7 @@ impl EventLoop {
     /// Tears a connection down: bumps the generation so stale events
     /// and deadlines miss, returns its gauge contributions, frees the
     /// slot.
-    fn close_entry(&mut self, idx: usize, mut entry: Entry) {
+    fn close_entry(&mut self, idx: usize, entry: Entry) {
         let gauges = &self.ctx.io_gauges[self.ctx.thread];
         gauges
             .writeback_bytes
@@ -998,17 +844,10 @@ impl EventLoop {
         gauges
             .buffer_bytes
             .fetch_add(0u64.wrapping_sub(entry.accounted_buf), Ordering::Relaxed);
-        entry.accounted_wb = 0;
-        entry.accounted_buf = 0;
-        {
-            use std::os::fd::AsRawFd;
-            let _ = self.ctx.poller.deregister(entry.conn.stream().as_raw_fd());
-        }
+        let _ = self.ctx.poller.deregister(entry.conn.stream().as_raw_fd());
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx);
         self.gauges().connections.fetch_sub(1, Ordering::Relaxed);
-        drop(entry);
-        self.slab[idx] = None;
     }
 
     /// Post-stop drain: deliver outstanding shard replies (bounded by
@@ -1049,13 +888,18 @@ impl EventLoop {
     }
 }
 
+/// A connection's poller/reply token: `generation << 32 | slab index`.
+fn token_of(idx: usize, gen: u32) -> u64 {
+    (u64::from(gen) << 32) | idx as u64
+}
+
 /// Splits a slab token into `(index, generation)`.
 fn split_token(token: u64) -> (usize, u32) {
     ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
 }
 
 /// Answers `reqs` with `BUSY` frames straight into the connection's
-/// write queue (event path).
+/// write queue.
 fn bounce_into_conn(reqs: &[IoReq], depth: usize, entry: &mut Entry, busy_gauge: &AtomicU64) {
     let mut out = Vec::with_capacity(reqs.len() * 13);
     let depth = u32::try_from(depth).unwrap_or(u32::MAX);
@@ -1104,28 +948,7 @@ fn shard_main(
                     let response_us =
                         u32::try_from(outcome.response.as_micros()).unwrap_or(u32::MAX);
                     match &r.payload {
-                        // Metadata requests and WRITE_DATA acks share the
-                        // compact IO frame; the written bytes stay server-side.
-                        None => protocol::encode_response(
-                            &Response::Io {
-                                seq: r.seq,
-                                hit: outcome.hit,
-                                response_us,
-                            },
-                            &mut out,
-                        ),
-                        Some(bytes) if r.write => {
-                            engine.write_payload(r.disk, r.block, r.blocks, bytes);
-                            protocol::encode_response(
-                                &Response::Io {
-                                    seq: r.seq,
-                                    hit: outcome.hit,
-                                    response_us,
-                                },
-                                &mut out,
-                            );
-                        }
-                        Some(_) => {
+                        Some(_) if !r.write => {
                             // READ_DATA: encode the header optimistically,
                             // then let the store append verified slab bytes
                             // straight after it (copy-once). On a checksum
@@ -1148,6 +971,21 @@ fn shard_main(
                                 );
                             }
                         }
+                        // Metadata requests and WRITE_DATA acks share the
+                        // compact IO frame; the written bytes stay server-side.
+                        payload => {
+                            if let Some(bytes) = payload {
+                                engine.write_payload(r.disk, r.block, r.blocks, bytes);
+                            }
+                            protocol::encode_response(
+                                &Response::Io {
+                                    seq: r.seq,
+                                    hit: outcome.hit,
+                                    response_us,
+                                },
+                                &mut out,
+                            );
+                        }
                     }
                 }
                 reply.send(out);
@@ -1167,275 +1005,39 @@ fn shard_main(
     snap
 }
 
-/// A legacy connection's reader loop; spawns the paired writer thread.
-#[allow(clippy::too_many_arguments)]
-fn serve_conn(
-    stream: TcpStream,
-    shard_txs: &[QueueSender<ShardMsg>],
-    stop: &AtomicBool,
-    epoch: Instant,
-    names: &(String, String),
-    busy_gauges: &[AtomicU64],
-    idle_timeout: Duration,
-    block_bytes: usize,
-    capture: Option<&CaptureRing>,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let write_half = stream.try_clone()?;
-    let (writer_tx, writer_rx) = channel();
-    let writer = std::thread::spawn(move || writer_main(write_half, &writer_rx));
-
-    let result = read_loop(
-        stream,
-        shard_txs,
-        stop,
-        epoch,
-        names,
-        &writer_tx,
-        busy_gauges,
-        idle_timeout,
-        block_bytes,
-        capture,
-    );
-    let _ = writer_tx.send(WriterMsg::Close);
-    drop(writer_tx);
-    let _ = writer.join();
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn read_loop(
-    mut stream: TcpStream,
-    shard_txs: &[QueueSender<ShardMsg>],
-    stop: &AtomicBool,
-    epoch: Instant,
-    names: &(String, String),
-    writer_tx: &Sender<WriterMsg>,
-    busy_gauges: &[AtomicU64],
-    idle_timeout: Duration,
-    block_bytes: usize,
-    capture: Option<&CaptureRing>,
-) -> std::io::Result<()> {
-    let nshards = shard_txs.len();
-    let mut fb = FrameBuf::new().with_max_frame(protocol::max_request_frame(block_bytes));
-    let mut batches: Vec<Vec<IoReq>> = (0..nshards).map(|_| Vec::new()).collect();
-    let mut last_data = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        match fb.read_from(&mut stream) {
-            Ok(0) => return Ok(()), // EOF: client is done.
-            Ok(_) => last_data = Instant::now(),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if last_data.elapsed() >= idle_timeout {
-                    // A silent peer must not pin this thread forever.
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        // Every request in this chunk carries the same arrival stamp —
-        // one clock read per socket read, not per request.
-        let at_us = epoch.elapsed().as_micros() as u64;
-        loop {
-            match fb.next_request() {
-                Ok(Some(Request::Io {
-                    seq,
-                    write,
-                    disk,
-                    block,
-                    blocks,
-                })) => {
-                    let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
-                    batches[s].push(IoReq {
-                        seq,
-                        at_us,
-                        disk,
-                        block,
-                        blocks: u64::from(blocks),
-                        write,
-                        payload: None,
-                    });
-                    if batches[s].len() >= BATCH_LIMIT {
-                        flush(&mut batches[s], &shard_txs[s], writer_tx, &busy_gauges[s]);
-                    }
-                }
-                Ok(Some(Request::IoData {
-                    seq,
-                    write,
-                    disk,
-                    block,
-                    blocks,
-                    payload,
-                })) => {
-                    if !valid_data_request(write, blocks, &payload, block_bytes) {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "data request violates the block-size contract",
-                        ));
-                    }
-                    let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
-                    batches[s].push(IoReq {
-                        seq,
-                        at_us,
-                        disk,
-                        block,
-                        blocks: u64::from(blocks),
-                        write,
-                        payload: Some(payload),
-                    });
-                    if batches[s].len() >= BATCH_LIMIT {
-                        flush(&mut batches[s], &shard_txs[s], writer_tx, &busy_gauges[s]);
-                    }
-                }
-                Ok(Some(Request::Stats { seq })) => {
-                    flush_all(&mut batches, shard_txs, writer_tx, busy_gauges);
-                    let json = collect_stats(shard_txs, names, &[], capture);
-                    let mut out = Vec::with_capacity(json.len() + 16);
-                    protocol::encode_response(&Response::Stats { seq, json }, &mut out);
-                    let _ = writer_tx.send(WriterMsg::Bytes(out));
-                }
-                Ok(Some(Request::Shutdown { seq })) => {
-                    flush_all(&mut batches, shard_txs, writer_tx, busy_gauges);
-                    let mut out = Vec::new();
-                    protocol::encode_response(&Response::Shutdown { seq }, &mut out);
-                    let _ = writer_tx.send(WriterMsg::Bytes(out));
-                    stop.store(true, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Unframeable stream: nothing to salvage.
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-                }
-            }
-        }
-        flush_all(&mut batches, shard_txs, writer_tx, busy_gauges);
-    }
-}
-
-/// Pushes a legacy connection's pending batch through the shard's
-/// bounded admission queue. Whatever does not fit is answered with
-/// `BUSY` frames carrying the queue depth — requests are never silently
-/// dropped and never buffered beyond the bound.
-fn flush(
-    batch: &mut Vec<IoReq>,
-    tx: &QueueSender<ShardMsg>,
-    writer_tx: &Sender<WriterMsg>,
-    busy_gauge: &AtomicU64,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    match tx.try_reserve(batch.len()) {
-        Ok(granted) => {
-            let rejected = batch.split_off(granted);
-            tx.push_reserved(
-                ShardMsg::Io {
-                    reply: ReplySink::Thread(writer_tx.clone()),
-                    batch: std::mem::take(batch),
-                },
-                granted,
-            );
-            if !rejected.is_empty() {
-                bounce(&rejected, tx.depth(), writer_tx, busy_gauge);
-            }
-        }
-        Err(TryPushError::Full { depth }) => {
-            bounce(batch, depth, writer_tx, busy_gauge);
-            batch.clear();
-        }
-        Err(TryPushError::Closed) => {
-            // Mid-shutdown: the shard is gone, but every accepted
-            // request still gets exactly one answer.
-            bounce(batch, 0, writer_tx, busy_gauge);
-            batch.clear();
-        }
-    }
-}
-
-/// Answers `reqs` with `BUSY` frames reporting `depth` (legacy path).
-fn bounce(reqs: &[IoReq], depth: usize, writer_tx: &Sender<WriterMsg>, busy_gauge: &AtomicU64) {
-    let mut out = Vec::with_capacity(reqs.len() * 13);
-    let depth = u32::try_from(depth).unwrap_or(u32::MAX);
-    for r in reqs {
-        protocol::encode_response(&Response::Busy { seq: r.seq, depth }, &mut out);
-    }
-    busy_gauge.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    let _ = writer_tx.send(WriterMsg::Bytes(out));
-}
-
-fn flush_all(
-    batches: &mut [Vec<IoReq>],
-    shard_txs: &[QueueSender<ShardMsg>],
-    writer_tx: &Sender<WriterMsg>,
-    busy_gauges: &[AtomicU64],
-) {
-    for ((batch, tx), gauge) in batches.iter_mut().zip(shard_txs).zip(busy_gauges) {
-        flush(batch, tx, writer_tx, gauge);
-    }
-}
-
-/// Gathers a live snapshot from every shard and renders the JSON,
-/// attaching IO-thread gauges when the event-loop front-end is serving
-/// (`io_gauges` empty on the legacy path keeps the bytes identical to
-/// pre-event-loop output).
-fn collect_stats(
-    shard_txs: &[QueueSender<ShardMsg>],
-    names: &(String, String),
-    io_gauges: &[IoGauges],
-    capture: Option<&CaptureRing>,
-) -> String {
+/// Gathers a live snapshot from every shard and renders the JSON with
+/// the IO-thread gauges and (when capturing) the capture gauges.
+fn collect_stats(ctx: &IoThreadCtx) -> String {
     let (tx, rx) = channel();
-    for s in shard_txs {
+    for s in ctx.shard_txs.iter() {
         s.push_control(ShardMsg::Stats { reply: tx.clone() });
     }
     drop(tx);
-    let snaps: Vec<ShardSnapshot> = rx.iter().collect();
-    let snaps = if snaps.len() == shard_txs.len() {
-        snaps
-    } else {
+    let mut snaps: Vec<ShardSnapshot> = rx.iter().collect();
+    if snaps.len() != ctx.shard_txs.len() {
         // Mid-shutdown race: report what answered rather than nothing.
         let mut dense: Vec<ShardSnapshot> =
-            (0..shard_txs.len()).map(ShardSnapshot::empty).collect();
+            (0..ctx.shard_txs.len()).map(ShardSnapshot::empty).collect();
         for s in snaps {
             let at = s.shard;
             dense[at] = s;
         }
-        dense
-    };
-    ClusterSnapshot::new(names.0.clone(), names.1.clone(), snaps)
-        .with_io(io_snapshots(io_gauges))
-        .with_capture(capture.map(CaptureRing::snapshot))
-        .to_json()
-}
-
-fn writer_main(mut stream: TcpStream, rx: &Receiver<WriterMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Bytes(bytes) => {
-                if stream.write_all(&bytes).is_err() {
-                    return; // Peer went away; reader will notice too.
-                }
-            }
-            WriterMsg::Close => break,
-        }
+        snaps = dense;
     }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+    ClusterSnapshot::new(ctx.names.0.clone(), ctx.names.1.clone(), snaps)
+        .with_io(io_snapshots(&ctx.io_gauges))
+        .with_capture(ctx.capture.as_deref().map(CaptureRing::snapshot))
+        .to_json()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_request, FrameBuf, Request, Response};
+    use crate::protocol::{
+        encode_data_request, encode_request, FrameBuf, DEFAULT_BLOCK_BYTES, MAX_DATA_BLOCKS,
+    };
     use crate::stats::parse_stats_json;
-    use std::io::Read;
+    use std::io::{Error, ErrorKind, Read, Write};
 
     fn read_response(stream: &mut TcpStream, fb: &mut FrameBuf) -> Response {
         loop {
@@ -1446,9 +1048,9 @@ mod tests {
         }
     }
 
-    fn io_stats_shutdown_roundtrip(engine: EngineConfig) {
-        let expect_io = !engine.legacy_threads && cfg!(target_os = "linux");
-        let server = Server::bind("127.0.0.1:0", engine).unwrap();
+    #[test]
+    fn serves_io_stats_and_shutdown_over_loopback() {
+        let server = Server::bind("127.0.0.1:0", EngineConfig::new(2, 4)).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run().unwrap());
 
@@ -1490,14 +1092,10 @@ mod tests {
                 assert_eq!(summary.requests, 2);
                 assert_eq!(summary.hits, 1);
                 assert_eq!(summary.shard_energy_j.len(), 2);
-                if expect_io {
-                    assert_eq!(
-                        summary.io_connections, 1,
-                        "the event loop must report its one connection"
-                    );
-                } else {
-                    assert_eq!(summary.io_connections, 0);
-                }
+                assert_eq!(
+                    summary.io_connections, 1,
+                    "the event loop must report its one connection"
+                );
             }
             other => panic!("unexpected response {other:?}"),
         }
@@ -1516,13 +1114,23 @@ mod tests {
     }
 
     #[test]
-    fn serves_io_stats_and_shutdown_over_loopback() {
-        io_stats_shutdown_roundtrip(EngineConfig::new(2, 4));
-    }
-
-    #[test]
-    fn legacy_front_end_serves_the_same_protocol() {
-        io_stats_shutdown_roundtrip(EngineConfig::new(2, 4).with_legacy_threads(true));
+    fn accept_errors_are_classified_transient_or_fatal() {
+        let cases = [
+            (Error::from(ErrorKind::WouldBlock), true),
+            (Error::from(ErrorKind::ConnectionAborted), true),
+            (Error::from(ErrorKind::ConnectionReset), true),
+            (Error::from_raw_os_error(103), true), // ECONNABORTED
+            (Error::from_raw_os_error(24), true),  // EMFILE
+            (Error::from_raw_os_error(23), true),  // ENFILE
+            (Error::from_raw_os_error(105), true), // ENOBUFS
+            (Error::from_raw_os_error(12), true),  // ENOMEM
+            (Error::from_raw_os_error(9), false),  // EBADF
+            (Error::from_raw_os_error(22), false), // EINVAL: not listening
+            (Error::from(ErrorKind::PermissionDenied), false),
+        ];
+        for (e, transient) in cases {
+            assert_eq!(accept_can_continue(&e), transient, "{e:?}");
+        }
     }
 
     #[test]
@@ -1536,8 +1144,9 @@ mod tests {
         assert_eq!(summary.connections, 0);
     }
 
-    fn idle_sweep_closes_silent_but_not_active(engine: EngineConfig) {
-        let server = Server::bind("127.0.0.1:0", engine)
+    #[test]
+    fn idle_connections_are_disconnected() {
+        let server = Server::bind("127.0.0.1:0", EngineConfig::new(1, 1))
             .unwrap()
             .with_idle_timeout(Duration::from_millis(150));
         let addr = server.local_addr().unwrap();
@@ -1608,40 +1217,49 @@ mod tests {
     }
 
     #[test]
-    fn idle_connections_are_disconnected() {
-        idle_sweep_closes_silent_but_not_active(EngineConfig::new(1, 1));
-    }
-
-    #[test]
-    fn idle_sweep_works_on_the_legacy_path_too() {
-        idle_sweep_closes_silent_but_not_active(EngineConfig::new(1, 1).with_legacy_threads(true));
-    }
-
-    #[test]
     fn garbage_input_kills_only_that_connection() {
         let server = Server::bind("127.0.0.1:0", EngineConfig::new(1, 1)).unwrap();
         let addr = server.local_addr().unwrap();
         let stop = server.stop_flag();
         let handle = std::thread::spawn(move || server.run().unwrap());
 
-        // A frame with a zero length prefix is unrecoverable.
-        let mut bad = TcpStream::connect(addr).unwrap();
-        bad.write_all(&[0u8; 8]).unwrap();
-        let mut buf = [0u8; 16];
-        // Server closes the connection: read returns 0 (or a reset).
-        let n = bad.read(&mut buf).unwrap_or(0);
-        assert_eq!(n, 0, "bad connection must be closed without a response");
+        // A zero length prefix is unframeable; the data frames decode
+        // but break the size contract `valid_data_request` enforces.
+        let data_frame = |write, blocks, payload_len| {
+            let mut wire = Vec::new();
+            encode_data_request(7, write, 0, 0, blocks, &vec![0xAB; payload_len], &mut wire);
+            wire
+        };
+        let offenders = [
+            ("zero length prefix", vec![0u8; 8]),
+            ("short WRITE_DATA", data_frame(true, 2, DEFAULT_BLOCK_BYTES)),
+            ("READ_DATA with a body", data_frame(false, 1, 1)),
+            ("too many blocks", data_frame(false, MAX_DATA_BLOCKS + 1, 0)),
+        ];
+        for (what, wire) in &offenders {
+            let mut bad = TcpStream::connect(addr).unwrap();
+            bad.write_all(wire).unwrap();
+            let mut buf = [0u8; 16];
+            // Server closes the connection: read returns 0 (or a reset).
+            let n = bad.read(&mut buf).unwrap_or(0);
+            assert_eq!(n, 0, "{what}: must be closed without a response");
+        }
 
-        // A fresh, well-behaved connection still works.
+        // A fresh, well-behaved connection still works, and no rejected
+        // frame reached a shard.
         let mut good = TcpStream::connect(addr).unwrap();
         let mut fb = FrameBuf::new();
         let mut wire = Vec::new();
         encode_request(&Request::Stats { seq: 9 }, &mut wire);
         good.write_all(&wire).unwrap();
-        assert!(matches!(
-            read_response(&mut good, &mut fb),
-            Response::Stats { seq: 9, .. }
-        ));
+        match read_response(&mut good, &mut fb) {
+            Response::Stats { seq: 9, json } => {
+                let summary = parse_stats_json(&json).expect("stats must parse");
+                assert_eq!(summary.requests, 0);
+                assert_eq!(summary.crc_failures, 0);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
 
         stop.store(true, Ordering::Relaxed);
         drop(good);

@@ -135,11 +135,8 @@ pub struct EngineConfig {
     /// injection for overload tests).
     pub slow_shard: Option<SlowShard>,
     /// Event-loop IO threads multiplexing connections (0 = pick from
-    /// available parallelism). Ignored on the legacy path.
+    /// available parallelism).
     pub io_threads: usize,
-    /// Serve with the pre-event-loop thread-per-connection front-end
-    /// (differential testing and non-epoll hosts).
-    pub legacy_threads: bool,
     /// Payload bytes per block served by the data plane (protocol v2
     /// `READ_DATA`/`WRITE_DATA`). Metadata-only traffic never touches
     /// the slab, so this costs nothing until data frames arrive.
@@ -169,7 +166,6 @@ impl EngineConfig {
             queue_bound: DEFAULT_QUEUE_BOUND,
             slow_shard: None,
             io_threads: 0,
-            legacy_threads: false,
             block_bytes: DEFAULT_BLOCK_BYTES,
             corrupt_every: 0,
         }
@@ -241,13 +237,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_io_threads(mut self, io_threads: usize) -> Self {
         self.io_threads = io_threads;
-        self
-    }
-
-    /// Selects the legacy thread-per-connection front-end.
-    #[must_use]
-    pub fn with_legacy_threads(mut self, legacy: bool) -> Self {
-        self.legacy_threads = legacy;
         self
     }
 

@@ -184,7 +184,7 @@ pub struct ClusterSnapshot {
     pub write_policy: String,
     /// Per-shard snapshots, indexed by shard.
     pub shards: Vec<ShardSnapshot>,
-    /// Per-IO-thread gauges; empty on the legacy and in-process paths,
+    /// Per-IO-thread gauges; empty on the in-process path,
     /// where the JSON stays byte-identical to pre-event-loop servers.
     pub io: Vec<IoThreadSnapshot>,
     /// Capture-ring gauges; `None` unless the server runs `--capture`,
@@ -332,8 +332,8 @@ impl ClusterSnapshot {
             out.push_str(&s.to_json());
         }
         out.push(']');
-        // Emitted only when the event-loop front-end is live: legacy
-        // and in-process snapshots must stay byte-identical to
+        // Emitted only when the event-loop front-end is live:
+        // in-process snapshots must stay byte-identical to
         // pre-event-loop output.
         if !self.io.is_empty() {
             out.push_str(",\"io\":[");
@@ -485,7 +485,7 @@ pub struct StatsSummary {
     /// Per-shard energy in joules, indexed by shard.
     pub shard_energy_j: Vec<f64>,
     /// Connections registered across IO threads (0 when the snapshot
-    /// carries no `io` section — legacy or in-process paths).
+    /// carries no `io` section — the in-process path).
     pub io_connections: u64,
     /// Buffer footprint across IO threads (0 without an `io` section).
     pub io_buffer_bytes: u64,

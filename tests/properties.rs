@@ -246,32 +246,6 @@ fn multiblock_requests_preserve_invariants() {
     }
 }
 
-/// Multi-block traces survive the text format round-trip too.
-#[test]
-fn multiblock_trace_serialization_round_trips() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = gen_multiblock_trace(&mut rng, 60);
-        let mut buf = Vec::new();
-        trace.to_writer(&mut buf).expect("write to memory");
-        let back = Trace::from_reader(buf.as_slice()).expect("parse own output");
-        assert_eq!(back, trace, "seed {seed}");
-    }
-}
-
-/// The trace text format round-trips every trace exactly.
-#[test]
-fn trace_serialization_round_trips() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = gen_trace(&mut rng, 150);
-        let mut buf = Vec::new();
-        trace.to_writer(&mut buf).expect("write to memory");
-        let back = Trace::from_reader(buf.as_slice()).expect("parse own output");
-        assert_eq!(back, trace, "seed {seed}");
-    }
-}
-
 /// The scan-resistant policies (ARC, MQ, LIRS, 2Q) run cleanly on any
 /// trace, hold the capacity invariant, and never evict the incoming
 /// block.
