@@ -1,19 +1,21 @@
 //! First-party CRC32C (Castagnoli, reflected polynomial `0x82F63B78`)
 //! for the payload data plane.
 //!
-//! The hot kernel is [`crc32c`], a portable slice-by-8 implementation:
-//! eight 256-entry tables (built at compile time by a `const fn`, so
-//! there is no runtime init and no lazy statics) let the inner loop
-//! fold eight input bytes per iteration with eight independent table
-//! loads and no data-dependent chain beyond the single XOR combine.
-//! On the block sizes the server moves (4 KiB) this runs several times
-//! faster than the textbook bit-at-a-time loop while producing the
-//! same value for every input — a property the tests pin by
-//! cross-checking against [`crc32c_bitwise`] over randomized lengths
-//! and alignments.
+//! [`crc32c_append`] picks its kernel at run time. On x86_64 CPUs with
+//! SSE4.2 it runs the `crc32` instruction over 8-byte words (one
+//! instruction per word, ~3-cycle latency); [`kernel`] names the choice.
+//! Everywhere else it runs a portable slice-by-8 kernel: eight 256-entry
+//! tables (built at compile time by a `const fn`, so there is no runtime
+//! init and no lazy statics) let the inner loop fold eight input bytes
+//! per iteration with eight independent table loads. Both kernels
+//! produce the same value for every input — the tests pin each against
+//! [`crc32c_bitwise`] and against each other over randomized lengths,
+//! alignments and starting values.
 //!
-//! Everything here is `#![forbid(unsafe_code)]` and dependency-free;
-//! the workspace builds air-gapped.
+//! The crate is dependency-free and `#![deny(unsafe_code)]`. The one
+//! exception is the call into the SSE4.2 kernel, which is `unsafe` only
+//! because the caller must prove the CPU feature is present; the runtime
+//! check on the line before it does.
 //!
 //! # Examples
 //!
@@ -26,7 +28,7 @@
 //! assert_eq!(whole, part);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The CRC32C (Castagnoli) generator polynomial, reflected.
@@ -75,9 +77,54 @@ pub fn crc32c(data: &[u8]) -> u32 {
 }
 
 /// Extends a previously computed [`crc32c`] digest with more bytes, as
-/// if the concatenated input had been hashed in one call.
+/// if the concatenated input had been hashed in one call. Runs the
+/// kernel [`kernel`] names.
 #[inline]
 pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `sse42_append`'s only requirement is that the CPU
+        // supports SSE4.2, which the runtime check above just confirmed.
+        #[allow(unsafe_code)]
+        let crc = unsafe { sse42_append(crc, data) };
+        return crc;
+    }
+    slice_by_8_append(crc, data)
+}
+
+/// The kernel [`crc32c_append`] runs on this CPU: `"sse4.2"` (the
+/// hardware `crc32` instruction) or `"portable"` (slice-by-8 tables).
+#[must_use]
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        return "sse4.2";
+    }
+    "portable"
+}
+
+/// The hardware kernel: one `crc32` instruction per 8-byte word, then
+/// one per tail byte. A single dependency chain is enough — at 4 KiB
+/// blocks it already runs several times faster than the table kernel.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn sse42_append(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut crc = u64::from(!crc);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        crc = _mm_crc32_u64(crc, u64::from_le_bytes(chunk.try_into().unwrap()));
+    }
+    // The instruction zero-extends its 32-bit result, so this is lossless.
+    let mut crc = crc as u32;
+    for &byte in chunks.remainder() {
+        crc = _mm_crc32_u8(crc, byte);
+    }
+    !crc
+}
+
+/// The portable kernel: slice-by-8 over the compile-time tables.
+fn slice_by_8_append(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
@@ -104,10 +151,14 @@ pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
     !crc
 }
 
-/// Textbook bit-at-a-time CRC32C. The correctness oracle the
-/// slice-by-8 kernel's tests compare against; never used on a hot path.
+/// Textbook bit-at-a-time CRC32C. The correctness oracle both kernels'
+/// tests compare against; never used on a hot path.
 pub fn crc32c_bitwise(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    bitwise_append(0, data)
+}
+
+fn bitwise_append(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &byte in data {
         crc ^= u32::from(byte);
         for _ in 0..8 {
@@ -125,6 +176,17 @@ pub fn crc32c_bitwise(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// Every way the crate can compute a CRC: the dispatcher (the
+    /// hardware kernel wherever [`kernel`] says `"sse4.2"`), the portable
+    /// fallback, and the oracle.
+    const KERNELS: [(&str, Kernel); 3] = [
+        ("dispatched", crc32c_append),
+        ("slice-by-8", slice_by_8_append),
+        ("bitwise", bitwise_append),
+    ];
+
     /// Tiny deterministic generator for randomized cross-checks —
     /// splitmix64, no external RNG needed.
     struct Mix(u64);
@@ -141,32 +203,47 @@ mod tests {
     #[test]
     fn known_answer_vectors() {
         // RFC 3720 B.4 test patterns plus the classic check value.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
         let ascending: Vec<u8> = (0..32u8).collect();
-        assert_eq!(crc32c(&ascending), 0x46DD_794E);
         let descending: Vec<u8> = (0..32u8).rev().collect();
-        assert_eq!(crc32c(&descending), 0x113F_DB5C);
+        let vectors: [(&[u8], u32); 6] = [
+            (b"", 0),
+            (b"123456789", 0xE306_9283),
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xFFu8; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+        ];
+        for (name, kernel) in KERNELS {
+            for (data, want) in vectors {
+                assert_eq!(kernel(0, data), want, "{name} on {data:?}");
+            }
+        }
     }
 
     #[test]
-    fn slice_by_8_matches_bitwise_over_randomized_lengths_and_alignments() {
+    fn every_kernel_matches_bitwise_over_randomized_lengths_alignments_and_seeds() {
         let mut rng = Mix(42);
-        let mut backing = vec![0u8; 4096 + 64];
+        let mut backing = vec![0u8; 8200 + 64];
         for byte in backing.iter_mut() {
             *byte = rng.next() as u8;
         }
-        for trial in 0..200 {
+        // Every short length (each word/tail boundary), then random
+        // lengths up to two 4 KiB blocks.
+        let lengths: Vec<usize> = (0..=80)
+            .chain((0..200).map(|_| (rng.next() % 8201) as usize))
+            .collect();
+        for len in lengths {
             let start = (rng.next() % 64) as usize;
-            let len = (rng.next() % 4097) as usize;
+            let seed = (rng.next() as u32).max(1);
             let slice = &backing[start..start + len];
-            assert_eq!(
-                crc32c(slice),
-                crc32c_bitwise(slice),
-                "trial {trial}: start={start} len={len}"
-            );
+            let want = bitwise_append(seed, slice);
+            for (name, kernel) in KERNELS {
+                assert_eq!(
+                    kernel(seed, slice),
+                    want,
+                    "{name}: start={start} len={len} seed={seed:#x}"
+                );
+            }
         }
     }
 
@@ -176,7 +253,16 @@ mod tests {
         let whole = crc32c(&data);
         for split in 0..=data.len() {
             let (a, b) = data.split_at(split);
-            assert_eq!(crc32c_append(crc32c(a), b), whole, "split at {split}");
+            // Kernels chain: any kernel can continue any other's digest.
+            for (first, head) in KERNELS {
+                for (second, tail) in KERNELS {
+                    assert_eq!(
+                        tail(head(0, a), b),
+                        whole,
+                        "{first} then {second}, split at {split}"
+                    );
+                }
+            }
         }
     }
 

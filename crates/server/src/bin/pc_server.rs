@@ -1,6 +1,9 @@
 //! The `pc-server` daemon: serve block I/O over TCP until SIGTERM (or a
 //! `SHUTDOWN` frame), then drain and print the closing report.
 
+// The one exception is `install_signal_handlers`' FFI call.
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -18,6 +21,7 @@ extern "C" fn on_signal(_sig: i32) {
     SIGNALLED.store(true, Ordering::SeqCst);
 }
 
+#[allow(unsafe_code)]
 fn install_signal_handlers() {
     // libc is already linked by std; `signal` with a flag-setting
     // handler is the entire dependency surface.
@@ -26,6 +30,10 @@ fn install_signal_handlers() {
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal` matches the C prototype (int, handler pointer) ->
+    // previous handler, returned as a pointer-sized integer and ignored.
+    // The handler only stores to an atomic, which is async-signal-safe,
+    // and is an `extern "C" fn` with the `void (*)(int)` signature.
     unsafe {
         signal(SIGTERM, on_signal);
         signal(SIGINT, on_signal);
@@ -201,7 +209,7 @@ fn main() -> ExitCode {
         .map(|a| a.to_string())
         .unwrap_or(args.addr);
     println!(
-        "pc-server listening on {addr} shards={} disks={} policy={} write_policy={} cache_blocks={} shard_queue={} front_end={}{}",
+        "pc-server listening on {addr} shards={} disks={} policy={} write_policy={} cache_blocks={} shard_queue={} front_end={}{} crc32c={}",
         args.engine.shards,
         args.engine.disks,
         args.policy_name,
@@ -217,6 +225,7 @@ fn main() -> ExitCode {
             .slow_shard
             .map(|s| format!(" slow_shard={}:{}us", s.shard, s.micros))
             .unwrap_or_default(),
+        pc_crc::kernel(),
     );
     if let Some(path) = &args.capture {
         println!("pc-server capturing to {}", path.display());

@@ -23,9 +23,12 @@
 //! # The virtual disk image
 //!
 //! There is no physical backing store: the "disk image" of block
-//! `(disk, block)` is the deterministic byte stream
-//! [`fill_block`] derives from those coordinates (splitmix64 over a
-//! seed mixed from both). A READ miss synthesizes the image into the
+//! `(disk, block)` is the deterministic byte stream [`fill_block`]
+//! derives from those coordinates (counter-mode SplitMix64 over a seed
+//! mixed from both). The image is a definition, not stored data: the
+//! server's miss path, `pc-loadgen` and the benchmark client all derive
+//! it through that one function, and known-answer tests pin it so it
+//! cannot change silently. A READ miss synthesizes the image into the
 //! slab; any client can re-derive and verify the same bytes — which is
 //! exactly what `pc-loadgen --payload` does on every READ reply. The
 //! semantic caveat: a `WRITE_DATA` overwrites the *cached* copy (and
@@ -39,30 +42,38 @@ use pc_crc::crc32c;
 /// small cache does not overallocate.
 const CHUNK_BLOCKS: usize = 1024;
 
+/// SplitMix64's counter increment (the golden-ratio "gamma").
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Fills `buf` with the deterministic disk image of `(disk, block)`:
-/// a splitmix64 stream seeded from the coordinates. Any reader can
-/// re-derive (and so verify) any block's pristine contents.
+/// counter-mode SplitMix64 seeded from the coordinates, so little-endian
+/// word *i* is `mix(seed + (i+1)·γ)` and a trailing partial word is the
+/// prefix of the next one. Any reader can re-derive (and so verify) any
+/// block's pristine contents, and a shorter fill is always a prefix of a
+/// longer one.
 pub fn fill_block(disk: u32, block: u64, buf: &mut [u8]) {
     // One multiplicative mix keeps neighbouring blocks' streams
     // unrelated even though their seeds differ by one.
-    let mut state = (u64::from(disk) << 32 | 0x5EED)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    let mut counter = (u64::from(disk) << 32 | 0x5EED)
+        .wrapping_mul(GAMMA)
         .wrapping_add(block.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    // Each word depends on the counter alone, never on the previous
+    // word's mix, so consecutive words' multiplies overlap in the
+    // pipeline instead of forming one serial chain.
     let mut chunks = buf.chunks_exact_mut(8);
     for chunk in &mut chunks {
-        state = splitmix(state);
-        chunk.copy_from_slice(&state.to_le_bytes());
+        counter = counter.wrapping_add(GAMMA);
+        chunk.copy_from_slice(&mix(counter).to_le_bytes());
     }
     let tail = chunks.into_remainder();
     if !tail.is_empty() {
-        state = splitmix(state);
-        let bytes = state.to_le_bytes();
+        let bytes = mix(counter.wrapping_add(GAMMA)).to_le_bytes();
         tail.copy_from_slice(&bytes[..tail.len()]);
     }
 }
 
-fn splitmix(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// SplitMix64's output function.
+fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -246,6 +257,43 @@ mod tests {
         let mut small = [0u8; 13];
         fill_block(3, 3, &mut small);
         assert!(small.iter().any(|&b| b != 0));
+    }
+
+    /// Known answers for the first and last word of a 4 KiB image: the
+    /// image is a definition shared by the server, `pc-loadgen` and the
+    /// benchmark client, so it may only change on purpose (and with a
+    /// CHANGELOG entry).
+    #[test]
+    fn fill_block_known_answers() {
+        let word = |buf: &[u8], i: usize| u64::from_le_bytes(buf[i * 8..][..8].try_into().unwrap());
+        for (disk, block, first, last) in [
+            (0, 0, 0x0C15_0480_3D8B_A479, 0xA822_960B_9B01_D5A1),
+            (
+                u32::MAX,
+                1 << 40,
+                0xD132_66A9_3429_6FFA,
+                0xE64B_F422_A772_AA5F,
+            ),
+        ] {
+            let mut buf = vec![0u8; 4096];
+            fill_block(disk, block, &mut buf);
+            assert_eq!(
+                (word(&buf, 0), word(&buf, 511)),
+                (first, last),
+                "fill_block({disk}, {block})"
+            );
+        }
+    }
+
+    #[test]
+    fn shorter_fills_are_prefixes_of_longer_ones() {
+        let mut full = vec![0u8; 4096];
+        fill_block(6, 1 << 33, &mut full);
+        for n in [0, 1, 7, 8, 13, 4095] {
+            let mut short = vec![0u8; n];
+            fill_block(6, 1 << 33, &mut short);
+            assert_eq!(short, full[..n], "{n}-byte fill");
+        }
     }
 
     #[test]

@@ -1251,6 +1251,20 @@ mod tests {
     }
 
     #[test]
+    fn multi_block_payloads_are_the_per_block_images_joined() {
+        let bb = 4096;
+        let mut payload = vec![0xEE; 3]; // appends, never overwrites
+        image_payload(9, u64::MAX - 1, 3, bb, &mut payload);
+        let mut want = vec![0xEE; 3];
+        for block in [u64::MAX - 1, u64::MAX, 0] {
+            let mut image = vec![0u8; bb];
+            fill_block(9, block, &mut image);
+            want.extend_from_slice(&image);
+        }
+        assert_eq!(payload, want);
+    }
+
+    #[test]
     fn eager_workloads_get_a_request_cap() {
         let cfg = LoadgenConfig {
             workload: Workload::parse("oltp").unwrap().with_requests(usize::MAX),

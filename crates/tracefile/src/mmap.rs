@@ -2,8 +2,8 @@
 //! of the trace-file layer.
 //!
 //! The repo takes no external dependencies, so like
-//! `crates/server/src/poller.rs` (the workspace's other `unsafe`
-//! island) this module declares the three syscall entry points it needs
+//! `crates/server/src/poller.rs` (DESIGN.md §8 lists every `unsafe`
+//! site) this module declares the three syscall entry points it needs
 //! directly; std already links the C library, so the symbols resolve
 //! with nothing added. All `unsafe` in `pc-tracefile` lives here,
 //! behind one safe type: [`Mapping`], an immutable private file mapping
