@@ -109,18 +109,28 @@ pub trait SampleUniform: Copy + PartialOrd {
 }
 
 /// Draws a uniform `u64` in `[0, span)` without modulo bias
-/// (Lemire's widening-multiply rejection method).
+/// (Lemire's widening-multiply rejection method, "Fast random integer
+/// generation in an interval", ACM TOMACS 2019).
+///
+/// A draw is rejected when the low word of `draw × span` falls below
+/// `threshold = 2⁶⁴ mod span`. Because `threshold < span`, a low word of
+/// at least `span` is always accepted, so the division that computes
+/// `threshold` runs only for the rare draws whose low word is below
+/// `span` (probability `span / 2⁶⁴`). Acceptance is decided by the same
+/// comparison either way, so every draw and the number of words consumed
+/// are exactly those of computing `threshold` up front.
 fn uniform_below<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
-    // `threshold` is the number of under-full slots to reject so every
-    // residue class is equally likely.
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let wide = u128::from(rng.next_u64()) * u128::from(span);
-        if (wide as u64) >= threshold {
-            return (wide >> 64) as u64;
+    let mut wide = u128::from(rng.next_u64()) * u128::from(span);
+    if (wide as u64) < span {
+        // `threshold` is the number of under-full slots to reject so
+        // every residue class is equally likely.
+        let threshold = span.wrapping_neg() % span;
+        while (wide as u64) < threshold {
+            wide = u128::from(rng.next_u64()) * u128::from(span);
         }
     }
+    (wide >> 64) as u64
 }
 
 macro_rules! impl_sample_uniform_int {
@@ -307,6 +317,49 @@ mod tests {
         let hits = (0..50_000).filter(|_| rng.gen_bool(0.7)).count();
         let share = hits as f64 / 50_000.0;
         assert!((share - 0.7).abs() < 0.01, "share {share}");
+    }
+
+    /// The threshold-first form `uniform_below` replaced: one division
+    /// per draw.
+    fn uniform_below_threshold_first<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let wide = u128::from(rng.next_u64()) * u128::from(span);
+            if (wide as u64) >= threshold {
+                return (wide >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn early_out_draws_match_threshold_first_and_consume_the_same_words() {
+        // Large spans are where rejection really happens; 2 197 265 is
+        // the synthetic generators' `disk_blocks`.
+        let spans = [
+            1,
+            2,
+            3,
+            19,
+            20,
+            100,
+            2_197_265,
+            (1 << 32) + 1,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for span in spans {
+            let mut fast = StdRng::seed_from_u64(span);
+            let mut oracle = fast.clone();
+            for i in 0..100_000 {
+                let want = uniform_below_threshold_first(&mut oracle, span);
+                assert_eq!(uniform_below(&mut fast, span), want, "span {span} draw {i}");
+            }
+            assert_eq!(
+                fast.next_u64(),
+                oracle.next_u64(),
+                "span {span}: words consumed"
+            );
+        }
     }
 
     #[test]

@@ -123,9 +123,10 @@ impl LoadgenConfig {
     }
 
     /// The per-connection request bound: effectively unbounded for the
-    /// lazy synthetic stream, capped for the eager generators so a
-    /// duration-bounded run does not materialize tens of millions of
-    /// records up front.
+    /// synthetic stream, the configured count capped at 2 M otherwise.
+    /// The cap keeps the eager OLTP generator from materializing tens of
+    /// millions of records up front; Cello streams lazily but its
+    /// busy/quiet cycle scales with the request count, so it keeps one.
     #[must_use]
     fn stream_for(&self, conn: usize) -> pc_trace::RecordStream {
         let bounded = match self.workload {

@@ -7,10 +7,13 @@
 //! gaps are tiny even for the cold-miss sub-stream, so disks rarely get a
 //! chance to descend the power ladder and PA-LRU's edge over LRU is small.
 
+use std::ops::Range;
+
 use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::recency::RecencyStack;
 use crate::{GapDistribution, IoOp, Record, Trace, ZipfSampler};
 
 /// Configuration of the Cello96-like generator.
@@ -96,17 +99,37 @@ impl CelloConfig {
 
     /// Generates a trace deterministically from a seed.
     ///
+    /// Collects [`CelloConfig::stream`], so the eager and streaming paths
+    /// produce identical records by construction.
+    ///
     /// # Panics
     ///
-    /// Panics if the configuration has no disks.
+    /// Panics if the configuration has no disks, an empty recency stack
+    /// or an invalid quiet phase.
     #[must_use]
     pub fn generate(&self, seed: u64) -> Trace {
+        let mut trace = Trace::new(self.disks);
+        for record in self.stream(seed) {
+            trace.push(record);
+        }
+        trace
+    }
+
+    /// Lazily generates the trace, one record per `next()` call, in
+    /// arrival order and without materializing anything: memory is the
+    /// per-disk recency stacks, whatever `requests` is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has no disks, an empty recency stack
+    /// or an invalid quiet phase.
+    #[must_use]
+    pub fn stream(&self, seed: u64) -> CelloStream {
         assert!(self.disks > 0, "need at least one disk");
         assert!(
             (0.0..1.0).contains(&self.quiet_share) && self.quiet_factor > 0.0,
             "quiet share must be in [0,1) and the quiet factor positive"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
         // Phase lengths scale with the expected trace duration; the
         // busy-phase rate is boosted so the configured overall mean gap
         // holds despite the quiet phases.
@@ -119,61 +142,94 @@ impl CelloConfig {
         let quiet_start = cycle * (1.0 - self.quiet_share) / 2.0;
         let duty = (1.0 - self.quiet_share) + self.quiet_share * self.quiet_factor;
         let busy_gap = SimDuration::from_secs_f64(self.mean_gap.as_secs_f64() * duty);
-        let arrivals = GapDistribution::exponential(busy_gap);
-        let disk_pick = ZipfSampler::new(self.disks as usize, self.disk_theta);
-        let stack_pick = ZipfSampler::new(self.stack_depth.max(1), self.zipf_theta);
-
-        let mut trace = Trace::new(self.disks);
-        let mut now = SimTime::ZERO;
-        // Fresh blocks walk an allocation frontier per disk (scans, log
-        // appends, new files); warm accesses revisit the recency stack.
-        let mut frontier = vec![0u64; self.disks as usize];
-        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); self.disks as usize];
-
-        for _ in 0..self.requests {
-            // Busy/quiet modulation: inside a quiet phase the arrival rate
-            // drops to `quiet_factor` (Poisson thinning).
-            loop {
-                now += arrivals.sample(&mut rng);
-                let cycle_pos = now.as_secs_f64() % cycle;
-                let in_quiet = (quiet_start..quiet_start + quiet_len).contains(&cycle_pos);
-                if !in_quiet || self.quiet_factor >= 1.0 || rng.gen::<f64>() < self.quiet_factor {
-                    break;
-                }
-            }
-            let disk = (disk_pick.sample(&mut rng) - 1) as u32;
-            let d = disk as usize;
-            let cold = rng.gen::<f64>() < self.cold_fraction || stacks[d].is_empty();
-            let mut run = 1u64;
-            let block = if cold {
-                // Scans and appends stream fresh blocks in short runs.
-                run = rng.gen_range(1..=self.max_run_blocks.max(1));
-                let first = frontier[d] + 1;
-                frontier[d] += run;
-                first
-            } else {
-                let depth = stack_pick.sample(&mut rng).min(stacks[d].len());
-                stacks[d][stacks[d].len() - depth]
-            };
-            if let Some(pos) = stacks[d].iter().rposition(|&b| b == block) {
-                stacks[d].remove(pos);
-            } else if stacks[d].len() == self.stack_depth {
-                stacks[d].remove(0);
-            }
-            stacks[d].push(block);
-            let op = if rng.gen::<f64>() < self.write_fraction {
-                IoOp::Write
-            } else {
-                IoOp::Read
-            };
-            trace.push(Record {
-                time: now,
-                block: BlockId::new(DiskId::new(disk), BlockNo::new(block)),
-                blocks: run,
-                op,
-            });
+        let disks = self.disks as usize;
+        CelloStream {
+            cfg: self.clone(),
+            rng: StdRng::seed_from_u64(seed),
+            cycle,
+            quiet: quiet_start..quiet_start + quiet_len,
+            arrivals: GapDistribution::exponential(busy_gap),
+            disk_pick: ZipfSampler::new(disks, self.disk_theta),
+            stack_pick: ZipfSampler::new(self.stack_depth.max(1), self.zipf_theta),
+            now: SimTime::ZERO,
+            frontier: vec![0; disks],
+            stacks: vec![RecencyStack::new(self.stack_depth); disks],
+            remaining: self.requests,
         }
-        trace
+    }
+}
+
+/// Lazy record iterator over a [`CelloConfig`] — see
+/// [`CelloConfig::stream`].
+#[derive(Debug, Clone)]
+pub struct CelloStream {
+    cfg: CelloConfig,
+    rng: StdRng,
+    /// Length of one busy/quiet cycle, in seconds.
+    cycle: f64,
+    /// The quiet phase's position within a cycle, in seconds.
+    quiet: Range<f64>,
+    arrivals: GapDistribution,
+    disk_pick: ZipfSampler,
+    stack_pick: ZipfSampler,
+    now: SimTime,
+    /// Fresh blocks walk an allocation frontier per disk (scans, log
+    /// appends, new files); warm accesses revisit the recency stack.
+    frontier: Vec<u64>,
+    stacks: Vec<RecencyStack>,
+    remaining: usize,
+}
+
+impl Iterator for CelloStream {
+    type Item = Record;
+
+    fn next(&mut self) -> Option<Record> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let cfg = &self.cfg;
+        let rng = &mut self.rng;
+        // Busy/quiet modulation: inside a quiet phase the arrival rate
+        // drops to `quiet_factor` (Poisson thinning).
+        loop {
+            self.now += self.arrivals.sample(rng);
+            let cycle_pos = self.now.as_secs_f64() % self.cycle;
+            if !self.quiet.contains(&cycle_pos)
+                || cfg.quiet_factor >= 1.0
+                || rng.gen::<f64>() < cfg.quiet_factor
+            {
+                break;
+            }
+        }
+        let disk = (self.disk_pick.sample(rng) - 1) as u32;
+        let d = disk as usize;
+        let stack = &mut self.stacks[d];
+        let cold = rng.gen::<f64>() < cfg.cold_fraction || stack.is_empty();
+        let mut run = 1u64;
+        let block = if cold {
+            // Scans and appends stream fresh blocks in short runs. The
+            // frontier only grows, so its next block was never stacked.
+            run = rng.gen_range(1..=cfg.max_run_blocks.max(1));
+            let first = self.frontier[d] + 1;
+            self.frontier[d] += run;
+            stack.push_fresh(first);
+            first
+        } else {
+            let depth = self.stack_pick.sample(rng).min(stack.len());
+            stack.promote(depth)
+        };
+        let op = if rng.gen::<f64>() < cfg.write_fraction {
+            IoOp::Write
+        } else {
+            IoOp::Read
+        };
+        Some(Record {
+            time: self.now,
+            block: BlockId::new(DiskId::new(disk), BlockNo::new(block)),
+            blocks: run,
+            op,
+        })
     }
 }
 

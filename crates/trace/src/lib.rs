@@ -32,13 +32,14 @@ mod cello;
 mod layout;
 mod nonstationary;
 mod oltp;
+mod recency;
 mod record;
 mod samplers;
 mod stats;
 mod stream;
 mod synthetic;
 
-pub use cello::CelloConfig;
+pub use cello::{CelloConfig, CelloStream};
 pub use layout::DataLayout;
 pub use nonstationary::{NonStationaryConfig, NonStationaryStream, Scenario};
 pub use oltp::OltpConfig;

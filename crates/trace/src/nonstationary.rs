@@ -26,6 +26,7 @@ use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::recency::RecencyStack;
 use crate::{GapDistribution, IoOp, Record, Trace, ZipfSampler};
 
 /// Which non-stationary schedule drives the phase parameters.
@@ -159,7 +160,7 @@ impl NonStationaryConfig {
             zipf: ZipfSampler::new(128, 0.99),
             now: SimTime::ZERO,
             last_block,
-            stacks: vec![Vec::new(); self.disks as usize],
+            stacks: vec![RecencyStack::new(128); self.disks as usize],
             issued: 0,
         }
     }
@@ -303,7 +304,7 @@ pub struct NonStationaryStream {
     zipf: ZipfSampler,
     now: SimTime,
     last_block: Vec<u64>,
-    stacks: Vec<Vec<u64>>,
+    stacks: Vec<RecencyStack>,
     issued: usize,
 }
 
@@ -326,14 +327,14 @@ impl Iterator for NonStationaryStream {
             _ => rng.gen_range(0..cfg.disks),
         };
         let d = disk as usize;
+        let stack = &mut self.stacks[d];
         let mut run = 1u64;
-        let block = if rng.gen::<f64>() < params.reuse_probability && !self.stacks[d].is_empty() {
-            let depth = self.zipf.sample(rng).min(self.stacks[d].len());
-            let idx = self.stacks[d].len() - depth;
-            self.stacks[d][idx]
+        let block = if rng.gen::<f64>() < params.reuse_probability && !stack.is_empty() {
+            let depth = self.zipf.sample(rng).min(stack.len());
+            stack.promote(depth)
         } else {
             let spatial: f64 = rng.gen();
-            if spatial < params.seq_probability {
+            let block = if spatial < params.seq_probability {
                 run = rng.gen_range(1..=8u64);
                 ((self.last_block[d] + 1) % cfg.disk_blocks).min(cfg.disk_blocks - run)
             } else if spatial < params.seq_probability + params.local_probability {
@@ -341,10 +342,11 @@ impl Iterator for NonStationaryStream {
                 (self.last_block[d] + dist) % cfg.disk_blocks
             } else {
                 rng.gen_range(0..cfg.disk_blocks)
-            }
+            };
+            stack.touch(block);
+            block
         };
         self.last_block[d] = block + run - 1;
-        touch(&mut self.stacks[d], block, 128);
         let op = if rng.gen::<f64>() < params.write_ratio {
             IoOp::Write
         } else {
@@ -357,16 +359,6 @@ impl Iterator for NonStationaryStream {
             op,
         })
     }
-}
-
-/// Moves `block` to the top of the recency stack, bounding its depth.
-fn touch(stack: &mut Vec<u64>, block: u64, depth: usize) {
-    if let Some(pos) = stack.iter().rposition(|&b| b == block) {
-        stack.remove(pos);
-    } else if stack.len() == depth {
-        stack.remove(0);
-    }
-    stack.push(block);
 }
 
 #[cfg(test)]

@@ -6,17 +6,19 @@
 //! three standard workload families and [`Workload::stream`] yields their
 //! records one at a time:
 //!
-//! * `synthetic` streams truly lazily ([`crate::SyntheticConfig::stream`])
-//!   — memory use is O(recency stack), so an unbounded request budget is
-//!   fine.
-//! * `oltp` / `cello96` are two-phase generators (they sort an arrival
-//!   skeleton before materializing blocks), so their streams iterate an
-//!   eagerly generated trace; bound `requests` to what you will actually
-//!   send.
+//! * `synthetic`, `cello96` and the `nonstationary:*` scenarios stream
+//!   truly lazily ([`crate::SyntheticConfig::stream`],
+//!   [`crate::CelloConfig::stream`], [`crate::NonStationaryConfig::stream`])
+//!   — they emit records in arrival order and memory use is O(recency
+//!   stack), so an unbounded request budget is fine.
+//! * `oltp` is a two-phase generator (it sorts an arrival skeleton before
+//!   materializing blocks), so its stream iterates an eagerly generated
+//!   trace; bound `requests` to what you will actually send.
 
-use crate::nonstationary::NonStationaryStream;
-use crate::synthetic::SyntheticStream;
-use crate::{CelloConfig, NonStationaryConfig, OltpConfig, Record, Scenario, SyntheticConfig};
+use crate::{
+    CelloConfig, CelloStream, NonStationaryConfig, NonStationaryStream, OltpConfig, Record,
+    Scenario, SyntheticConfig, SyntheticStream,
+};
 
 /// One of the standard workload families, configured and ready to stream.
 ///
@@ -37,7 +39,7 @@ pub enum Workload {
     Synthetic(SyntheticConfig),
     /// The OLTP-like generator (eagerly generated, then streamed).
     Oltp(OltpConfig),
-    /// The Cello96-like generator (eagerly generated, then streamed).
+    /// The Cello96-like generator (lazy streaming).
     Cello(CelloConfig),
     /// A non-stationary scenario (lazy streaming) — see
     /// [`NonStationaryConfig`].
@@ -123,9 +125,9 @@ impl Workload {
     #[must_use]
     pub fn stream(&self, seed: u64) -> RecordStream {
         let inner = match self {
-            Workload::Synthetic(c) => StreamInner::Lazy(c.stream(seed)),
+            Workload::Synthetic(c) => StreamInner::Synthetic(c.stream(seed)),
             Workload::Oltp(c) => StreamInner::Eager(c.generate(seed).into_records().into_iter()),
-            Workload::Cello(c) => StreamInner::Eager(c.generate(seed).into_records().into_iter()),
+            Workload::Cello(c) => StreamInner::Cello(c.stream(seed)),
             Workload::NonStationary(c) => StreamInner::Phased(c.stream(seed)),
         };
         RecordStream { inner }
@@ -152,7 +154,8 @@ impl RecordStream {
 
 #[derive(Debug, Clone)]
 enum StreamInner {
-    Lazy(SyntheticStream),
+    Synthetic(SyntheticStream),
+    Cello(CelloStream),
     Phased(NonStationaryStream),
     Eager(std::vec::IntoIter<Record>),
 }
@@ -162,7 +165,8 @@ impl Iterator for RecordStream {
 
     fn next(&mut self) -> Option<Record> {
         match &mut self.inner {
-            StreamInner::Lazy(s) => s.next(),
+            StreamInner::Synthetic(s) => s.next(),
+            StreamInner::Cello(s) => s.next(),
             StreamInner::Phased(s) => s.next(),
             StreamInner::Eager(s) => s.next(),
         }
@@ -192,14 +196,24 @@ mod tests {
 
     #[test]
     fn eager_workloads_stream_their_generated_trace() {
-        for name in ["oltp", "cello96"] {
-            let w = Workload::parse(name).unwrap().with_requests(500);
-            let streamed: Vec<Record> = w.stream(3).collect();
-            assert_eq!(streamed.len(), 500, "{name}");
-            // Streamed records form a valid trace over the workload's disks.
-            let t = Trace::from_records(w.disk_count(), streamed);
-            assert_eq!(t.disk_count(), w.disk_count());
+        let w = Workload::parse("oltp").unwrap().with_requests(500);
+        let streamed: Vec<Record> = w.stream(3).collect();
+        assert_eq!(streamed.len(), 500);
+        // Streamed records form a valid trace over the workload's disks.
+        let t = Trace::from_records(w.disk_count(), streamed);
+        assert_eq!(t.disk_count(), w.disk_count());
+    }
+
+    #[test]
+    fn cello_streams_lazily_and_matches_eager_generate() {
+        let cfg = CelloConfig::default().with_requests(5_000);
+        for seed in [42, 7] {
+            let streamed: Vec<Record> = Workload::Cello(cfg.clone()).stream(seed).collect();
+            assert_eq!(cfg.generate(seed).records(), streamed.as_slice(), "{seed}");
         }
+        // Unbounded streams still yield on demand.
+        let unbounded = Workload::Cello(cfg).with_requests(usize::MAX);
+        assert_eq!(unbounded.stream(1).take(10).count(), 10);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::recency::RecencyStack;
 use crate::{GapDistribution, IoOp, Record, Trace, ZipfSampler};
 
 /// Configuration of the Table-3 synthetic generator.
@@ -133,7 +134,8 @@ impl SyntheticConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the spatial probabilities sum to more than 1.
+    /// Panics if the spatial probabilities sum to more than 1 or
+    /// `stack_depth` is zero.
     #[must_use]
     pub fn generate(&self, seed: u64) -> Trace {
         let mut trace = Trace::new(self.disks);
@@ -154,7 +156,8 @@ impl SyntheticConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the spatial probabilities sum to more than 1.
+    /// Panics if the spatial probabilities sum to more than 1 or
+    /// `stack_depth` is zero.
     #[must_use]
     pub fn stream(&self, seed: u64) -> SyntheticStream {
         assert!(
@@ -166,7 +169,7 @@ impl SyntheticConfig {
         let last_block: Vec<u64> = (0..self.disks)
             .map(|_| rng.gen_range(0..self.disk_blocks))
             .collect();
-        let stacks: Vec<Vec<u64>> = vec![Vec::new(); self.disks as usize];
+        let stacks = vec![RecencyStack::new(self.stack_depth); self.disks as usize];
         SyntheticStream {
             cfg: self.clone(),
             rng,
@@ -188,7 +191,7 @@ pub struct SyntheticStream {
     zipf: ZipfSampler,
     now: SimTime,
     last_block: Vec<u64>,
-    stacks: Vec<Vec<u64>>,
+    stacks: Vec<RecencyStack>,
     remaining: usize,
 }
 
@@ -205,15 +208,15 @@ impl Iterator for SyntheticStream {
         self.now += cfg.gaps.sample(rng);
         let disk = rng.gen_range(0..cfg.disks);
         let d = disk as usize;
+        let stack = &mut self.stacks[d];
         let mut run = 1u64;
-        let block = if rng.gen::<f64>() < cfg.reuse_probability && !self.stacks[d].is_empty() {
+        let block = if rng.gen::<f64>() < cfg.reuse_probability && !stack.is_empty() {
             // Temporal reuse: Zipf stack distance from the top.
-            let depth = self.zipf.sample(rng).min(self.stacks[d].len());
-            let idx = self.stacks[d].len() - depth;
-            self.stacks[d][idx]
+            let depth = self.zipf.sample(rng).min(stack.len());
+            stack.promote(depth)
         } else {
             let spatial: f64 = rng.gen();
-            if spatial < cfg.seq_probability {
+            let block = if spatial < cfg.seq_probability {
                 // Sequential accesses stream a multi-block run.
                 run = rng.gen_range(1..=cfg.max_run_blocks.max(1));
                 ((self.last_block[d] + 1) % cfg.disk_blocks).min(cfg.disk_blocks - run)
@@ -222,10 +225,12 @@ impl Iterator for SyntheticStream {
                 (self.last_block[d] + dist) % cfg.disk_blocks
             } else {
                 rng.gen_range(0..cfg.disk_blocks)
-            }
+            };
+            // A spatial access may land on a stacked block.
+            stack.touch(block);
+            block
         };
         self.last_block[d] = block + run - 1;
-        touch(&mut self.stacks[d], block, cfg.stack_depth);
         let op = if rng.gen::<f64>() < cfg.write_ratio {
             IoOp::Write
         } else {
@@ -238,16 +243,6 @@ impl Iterator for SyntheticStream {
             op,
         })
     }
-}
-
-/// Moves `block` to the top of the recency stack, bounding its depth.
-fn touch(stack: &mut Vec<u64>, block: u64, depth: usize) {
-    if let Some(pos) = stack.iter().rposition(|&b| b == block) {
-        stack.remove(pos);
-    } else if stack.len() == depth {
-        stack.remove(0);
-    }
-    stack.push(block);
 }
 
 #[cfg(test)]
