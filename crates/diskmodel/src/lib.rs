@@ -39,5 +39,5 @@ mod service;
 mod spec;
 
 pub use model::{LadderStep, ModeId, ModeSpec, PowerModel, Transition};
-pub use service::{ServiceModel, ServiceRequest};
+pub use service::{ServiceModel, ServiceRequest, ServiceTime};
 pub use spec::DiskPowerSpec;

@@ -51,7 +51,8 @@ pub struct Zone {
 /// let m = ServiceModel::ultrastar_36z15();
 /// let t = m.service_time(None, ServiceRequest::single(BlockNo::new(1_000)));
 /// // A random single-block access takes a few milliseconds.
-/// assert!(t.as_millis_f64() > 0.1 && t.as_millis_f64() < 15.0);
+/// assert!(t.total.as_millis_f64() > 0.1 && t.total.as_millis_f64() < 15.0);
+/// assert!(t.seek < t.total);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceModel {
@@ -237,11 +238,12 @@ impl ServiceModel {
         SimDuration::from_secs_f64(blocks as f64 * self.block_bytes as f64 / self.transfer_rate)
     }
 
-    /// Total mechanical service time of a request: seek from the previous
-    /// head position (or an average-length seek if unknown), rotational
-    /// latency, and (zone-aware) transfer.
+    /// Mechanical service time of a request: seek from the previous head
+    /// position (or an average-length seek if unknown), rotational
+    /// latency, and (zone-aware) transfer. The seek is returned on its
+    /// own too, since it is drawn at seek power rather than active power.
     #[must_use]
-    pub fn service_time(&self, head_at: Option<BlockNo>, request: ServiceRequest) -> SimDuration {
+    pub fn service_time(&self, head_at: Option<BlockNo>, request: ServiceRequest) -> ServiceTime {
         let to = self.cylinder_of(request.block);
         let seek = match head_at {
             Some(prev) => self.seek_time(self.cylinder_of(prev), to),
@@ -249,20 +251,23 @@ impl ServiceModel {
             // stroke, the standard random-workload approximation.
             None => self.seek_time(0, self.cylinders / 3),
         };
-        seek + self.rotational_latency(request.block)
-            + self.transfer_time_at(request.block, request.blocks)
-    }
-
-    /// Splits a service time into its seek and non-seek (latency+transfer)
-    /// portions, for energy accounting at different power levels.
-    #[must_use]
-    pub fn seek_portion(&self, head_at: Option<BlockNo>, request: ServiceRequest) -> SimDuration {
-        let to = self.cylinder_of(request.block);
-        match head_at {
-            Some(prev) => self.seek_time(self.cylinder_of(prev), to),
-            None => self.seek_time(0, self.cylinders / 3),
+        ServiceTime {
+            seek,
+            total: seek
+                + self.rotational_latency(request.block)
+                + self.transfer_time_at(request.block, request.blocks),
         }
     }
+}
+
+/// One request's mechanical service time, with its seek portion split
+/// out for energy accounting (see [`ServiceModel::service_time`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServiceTime {
+    /// Seek from the previous head position.
+    pub seek: SimDuration,
+    /// Seek + rotational latency + transfer.
+    pub total: SimDuration,
 }
 
 impl Default for ServiceModel {
@@ -343,8 +348,10 @@ mod tests {
     fn service_time_uses_head_position() {
         let m = model();
         let near = ServiceRequest::single(BlockNo::new(0));
-        let seq = m.service_time(Some(BlockNo::new(1)), near);
-        let far = m.service_time(Some(BlockNo::new(m.blocks_per_cylinder * 17_000)), near);
+        let seq = m.service_time(Some(BlockNo::new(1)), near).total;
+        let far = m
+            .service_time(Some(BlockNo::new(m.blocks_per_cylinder * 17_000)), near)
+            .total;
         assert!(seq < far);
     }
 
@@ -416,6 +423,7 @@ mod tests {
         let t = m.service_time(Some(BlockNo::new(100)), req);
         let expected =
             m.rotational_latency(BlockNo::new(100)) + m.transfer_time_at(BlockNo::new(100), 32);
-        assert_eq!(t, expected, "same cylinder: no seek");
+        assert_eq!(t.seek, SimDuration::ZERO, "same cylinder: no seek");
+        assert_eq!(t.total, expected);
     }
 }

@@ -44,6 +44,9 @@ pub struct Served {
 /// what lets the Oracle policy make its clairvoyant per-gap decision
 /// without an explicit look-ahead interface.
 ///
+/// Once built, servicing requests and finishing perform no heap
+/// allocation (timeline recording aside).
+///
 /// # Examples
 ///
 /// ```
@@ -64,21 +67,34 @@ pub struct DiskSim {
     power: PowerModel,
     service_model: ServiceModel,
     policy: DpmPolicy,
-    /// Ladder used by `FixedThreshold`; `Practical` uses the model's.
-    fixed_ladder: Option<Vec<LadderStep>>,
+    /// The demotion ladder, resolved once from the policy: full speed then
+    /// standby at the threshold for `FixedThreshold`, the model's
+    /// 2-competitive ladder otherwise. `Practical` walks it; `Oracle`
+    /// reads it only for the [`peek_mode`](Self::peek_mode) estimate;
+    /// `AlwaysOn` rests at full speed between requests, and walks it only
+    /// over the trailing idle period a serve-at-speed `finish` closes.
+    ladder: Vec<LadderStep>,
     busy_until: SimTime,
     idle_since: Option<SimTime>,
     head: Option<BlockNo>,
     last_arrival: Option<SimTime>,
-    report: DiskReport,
+    books: Books,
     finished: bool,
-    timeline: Option<Timeline>,
     /// Carrera-style option 1: requests are serviced at the current
     /// rotational speed (slower, but no spin-up wait).
     serve_at_speed: bool,
     /// The mode the disk rests in when its current/next idle period
     /// starts (always full speed unless `serve_at_speed` is on).
     resting_mode: ModeId,
+}
+
+/// Everything the state machine writes: the accounting and the optional
+/// timeline. Kept apart from the power model and the ladder, which it
+/// only reads, so a ladder walk borrows those while it writes these.
+#[derive(Debug, Clone)]
+struct Books {
+    report: DiskReport,
+    timeline: Option<Timeline>,
 }
 
 impl DiskSim {
@@ -90,33 +106,35 @@ impl DiskSim {
         service_model: ServiceModel,
         policy: DpmPolicy,
     ) -> Self {
-        let fixed_ladder = match policy {
-            DpmPolicy::FixedThreshold(threshold) => Some(vec![
+        let ladder = match policy {
+            DpmPolicy::FixedThreshold(threshold) => vec![
                 LadderStep {
                     at_idle: SimDuration::ZERO,
                     mode: ModeId::FULL_SPEED,
                 },
                 LadderStep {
                     at_idle: threshold,
-                    mode: ModeId::new(power.mode_count() - 1),
+                    mode: power.standby(),
                 },
-            ]),
-            _ => None,
+            ],
+            _ => Vec::from(power.ladder()),
         };
-        let report = DiskReport::new(power.mode_count());
+        let books = Books {
+            report: DiskReport::new(power.mode_count()),
+            timeline: None,
+        };
         DiskSim {
             id,
             power,
             service_model,
             policy,
-            fixed_ladder,
+            ladder,
             busy_until: SimTime::ZERO,
             idle_since: Some(SimTime::ZERO),
             head: None,
             last_arrival: None,
-            report,
+            books,
             finished: false,
-            timeline: None,
             serve_at_speed: false,
             resting_mode: ModeId::FULL_SPEED,
         }
@@ -158,20 +176,14 @@ impl DiskSim {
                 mode: ModeId::FULL_SPEED,
             },
         );
-        self.timeline = Some(timeline);
+        self.books.timeline = Some(timeline);
         self
     }
 
     /// The recorded power timeline, if recording was enabled.
     #[must_use]
     pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
-    }
-
-    fn record(&mut self, at: SimTime, event: PowerEvent) {
-        if let Some(t) = self.timeline.as_mut() {
-            t.push(at, event);
-        }
+        self.books.timeline.as_ref()
     }
 
     /// The disk's identifier.
@@ -195,7 +207,7 @@ impl DiskSim {
     /// The accounting collected so far.
     #[must_use]
     pub fn report(&self) -> &DiskReport {
-        &self.report
+        &self.books.report
     }
 
     /// When the disk completes its last accepted request (the earliest
@@ -215,27 +227,18 @@ impl DiskSim {
     /// DESIGN.md §2).
     #[must_use]
     pub fn peek_mode(&self, now: SimTime) -> ModeId {
-        if now < self.busy_until {
+        if now < self.busy_until || self.policy == DpmPolicy::AlwaysOn {
             return ModeId::FULL_SPEED;
         }
         let Some(idle_since) = self.idle_since else {
             return ModeId::FULL_SPEED;
         };
-        match self.policy {
-            DpmPolicy::AlwaysOn => ModeId::FULL_SPEED,
-            DpmPolicy::Practical | DpmPolicy::Oracle => self
-                .power
-                .practical_mode_at(now.saturating_since(idle_since)),
-            DpmPolicy::FixedThreshold(_) => {
-                let ladder = self.fixed_ladder.as_deref().expect("fixed ladder exists");
-                let elapsed = now.saturating_since(idle_since);
-                ladder
-                    .iter()
-                    .rev()
-                    .find(|s| s.at_idle <= elapsed)
-                    .map_or(ModeId::FULL_SPEED, |s| s.mode)
-            }
-        }
+        let elapsed = now.saturating_since(idle_since);
+        self.ladder
+            .iter()
+            .rev()
+            .find(|s| s.at_idle <= elapsed)
+            .map_or(ModeId::FULL_SPEED, |s| s.mode)
     }
 
     /// Returns `true` if a request arriving at `now` would find the disk
@@ -258,8 +261,8 @@ impl DiskSim {
         assert!(!self.finished, "disk already finished");
         if let Some(last) = self.last_arrival {
             assert!(arrival >= last, "arrivals must be in order");
-            self.report.interarrival_total += arrival - last;
-            self.report.interarrival_count += 1;
+            self.books.report.interarrival_total += arrival - last;
+            self.books.report.interarrival_count += 1;
         }
         self.last_arrival = Some(arrival);
 
@@ -293,32 +296,31 @@ impl DiskSim {
             (self.busy_until, self.busy_until - arrival)
         };
 
-        self.record(start, PowerEvent::ServiceStart);
-        let full_service = self.service_model.service_time(self.head, request);
-        let seek = self.service_model.seek_portion(self.head, request);
+        self.books.record(start, PowerEvent::ServiceStart);
+        let full = self.service_model.service_time(self.head, request);
+        let seek = full.seek;
         let (service, active_power) = if service_mode.is_full_speed() {
-            (full_service, self.power.active_power())
+            (full.total, self.power.active_power())
         } else {
             // Rotation-bound time stretches inversely with the speed;
             // active power scales with the mode's spindle power share.
             let spec = self.power.mode(service_mode);
-            let full_rpm = self.power.mode(ModeId::FULL_SPEED).rpm.max(1);
-            let ratio = f64::from(full_rpm) / f64::from(spec.rpm.max(1));
-            let scaled = seek + (full_service - seek).mul_f64(ratio);
-            let power_scale =
-                spec.power.as_watts() / self.power.mode(ModeId::FULL_SPEED).power.as_watts();
+            let full_speed = self.power.mode(ModeId::FULL_SPEED);
+            let ratio = f64::from(full_speed.rpm.max(1)) / f64::from(spec.rpm.max(1));
+            let scaled = seek + (full.total - seek).mul_f64(ratio);
+            let power_scale = spec.power.as_watts() / full_speed.power.as_watts();
             (
                 scaled,
                 pc_units::Watts::new(self.power.active_power().as_watts() * power_scale),
             )
         };
-        self.report.service_time += service;
-        self.report.service_energy +=
-            self.power.seek_power() * seek + active_power * (service - seek);
-        self.report.requests += 1;
+        let report = &mut self.books.report;
+        report.service_time += service;
+        report.service_energy += self.power.seek_power() * seek + active_power * (service - seek);
+        report.requests += 1;
 
         let completion = start + service;
-        self.record(completion, PowerEvent::ServiceEnd);
+        self.books.record(completion, PowerEvent::ServiceEnd);
         self.busy_until = completion;
         self.idle_since = Some(completion);
         self.resting_mode = if self.serve_at_speed {
@@ -332,8 +334,9 @@ impl DiskSim {
         ));
 
         let response = wait + service;
-        self.report.response_total += response;
-        self.report.response_max = self.report.response_max.max(response);
+        let report = &mut self.books.report;
+        report.response_total += response;
+        report.response_max = report.response_max.max(response);
         Served {
             wait,
             service,
@@ -359,13 +362,14 @@ impl DiskSim {
             if end > idle_start {
                 if self.serve_at_speed {
                     let offset = self.ladder_offset_of(self.resting_mode);
-                    let ladder = match self.policy {
-                        DpmPolicy::FixedThreshold(_) => {
-                            self.fixed_ladder.clone().expect("fixed ladder exists")
-                        }
-                        _ => self.power.ladder().to_vec(),
-                    };
-                    let _ = self.walk_ladder(idle_start, &ladder, offset, end - idle_start, false);
+                    let _ = self.books.walk_ladder(
+                        &self.power,
+                        &self.ladder,
+                        idle_start,
+                        offset,
+                        end - idle_start,
+                        false,
+                    );
                 } else {
                     let _ = self.account_idle(idle_start, end, false);
                 }
@@ -380,26 +384,30 @@ impl DiskSim {
         let gap = end - start;
         match self.policy {
             DpmPolicy::AlwaysOn => {
-                self.record(
+                self.books.record(
                     start,
                     PowerEvent::Rest {
                         mode: ModeId::FULL_SPEED,
                     },
                 );
-                self.rest(ModeId::FULL_SPEED, gap);
+                self.books.rest(&self.power, ModeId::FULL_SPEED, gap);
                 SimDuration::ZERO
             }
             DpmPolicy::Oracle => {
                 self.account_oracle(start, gap, spin_up);
                 SimDuration::ZERO
             }
-            DpmPolicy::Practical => {
-                let ladder = self.power.ladder().to_vec();
-                self.account_ladder(start, &ladder, gap, spin_up)
-            }
-            DpmPolicy::FixedThreshold(_) => {
-                let ladder = self.fixed_ladder.clone().expect("fixed ladder exists");
-                self.account_ladder(start, &ladder, gap, spin_up)
+            DpmPolicy::Practical | DpmPolicy::FixedThreshold(_) => {
+                self.books
+                    .walk_ladder(
+                        &self.power,
+                        &self.ladder,
+                        start,
+                        SimDuration::ZERO,
+                        gap,
+                        spin_up,
+                    )
+                    .0
             }
         }
     }
@@ -409,56 +417,111 @@ impl DiskSim {
     /// nothing.
     fn account_oracle(&mut self, start: SimTime, gap: SimDuration, spin_up: bool) {
         let mode = self.power.oracle_mode_for_gap(gap);
+        let books = &mut self.books;
         if mode.is_full_speed() {
-            self.record(start, PowerEvent::Rest { mode });
-            self.rest(mode, gap);
+            books.record(start, PowerEvent::Rest { mode });
+            books.rest(&self.power, mode, gap);
             return;
         }
-        let spec = self.power.mode(mode).clone();
-        let up = if spin_up {
-            spec.spin_up.time
-        } else {
-            SimDuration::ZERO
-        };
-        let residency = gap - spec.spin_down.time - up;
-        self.record(start, PowerEvent::SpinDown { to: mode });
-        self.report.spin_down_time += spec.spin_down.time;
-        self.report.spin_down_energy += spec.spin_down.energy;
-        self.report.spin_downs += 1;
-        self.record(start + spec.spin_down.time, PowerEvent::Rest { mode });
-        self.rest(mode, residency);
+        let spec = self.power.mode(mode);
+        let (down, up) = (spec.spin_down, spec.spin_up);
+        let up_time = if spin_up { up.time } else { SimDuration::ZERO };
+        let residency = gap - down.time - up_time;
+        books.record(start, PowerEvent::SpinDown { to: mode });
+        books.report.spin_down_time += down.time;
+        books.report.spin_down_energy += down.energy;
+        books.report.spin_downs += 1;
+        books.record(start + down.time, PowerEvent::Rest { mode });
+        books.rest(&self.power, mode, residency);
         if spin_up {
-            self.record(start + spec.spin_down.time + residency, PowerEvent::SpinUp);
-            self.report.spin_up_time += spec.spin_up.time;
-            self.report.spin_up_energy += spec.spin_up.energy;
-            self.report.spin_ups += 1;
+            books.record(start + down.time + residency, PowerEvent::SpinUp);
+            books.report.spin_up_time += up.time;
+            books.report.spin_up_energy += up.energy;
+            books.report.spin_ups += 1;
         }
     }
 
-    /// Threshold-ladder accounting. Spin-downs consume real time inside
-    /// the gap; if the gap ends mid-transition the transition completes
-    /// past the gap's end and the remainder is added to the returned wait,
-    /// together with the final spin-up.
-    fn account_ladder(
-        &mut self,
-        start: SimTime,
-        ladder: &[LadderStep],
-        gap: SimDuration,
-        spin_up: bool,
-    ) -> SimDuration {
-        self.walk_ladder(start, ladder, SimDuration::ZERO, gap, spin_up)
-            .0
+    /// The ladder position (cumulative-idle offset) of a resting mode.
+    fn ladder_offset_of(&self, mode: ModeId) -> SimDuration {
+        self.ladder
+            .iter()
+            .find(|s| s.mode == mode)
+            .map_or(SimDuration::ZERO, |s| s.at_idle)
     }
 
-    /// Walks the demotion ladder over an idle period that begins with the
-    /// disk already `offset` deep into the ladder (0 = full speed, the
+    /// Serve-at-speed idle closing: walk the ladder from the resting
+    /// mode; no full spin-up is paid. Returns the wait (leftover
+    /// spin-down, plus a partial spin-up when the disk reached standby —
+    /// a stopped spindle cannot transfer) and the speed the request is
+    /// serviced at.
+    fn close_idle_at_speed(&mut self, start: SimTime, end: SimTime) -> (SimDuration, ModeId) {
+        if self.policy == DpmPolicy::AlwaysOn {
+            self.books
+                .rest(&self.power, ModeId::FULL_SPEED, end - start);
+            self.books.record(
+                start,
+                PowerEvent::Rest {
+                    mode: ModeId::FULL_SPEED,
+                },
+            );
+            return (SimDuration::ZERO, ModeId::FULL_SPEED);
+        }
+        let offset = self.ladder_offset_of(self.resting_mode);
+        let (mut wait, mode) =
+            self.books
+                .walk_ladder(&self.power, &self.ladder, start, offset, end - start, false);
+        if mode == self.power.standby() {
+            // Spin up just far enough to transfer: to the slowest
+            // spinning mode on multi-speed disks, to full speed on
+            // 2-mode disks.
+            let target = if self.power.mode_count() > 2 {
+                ModeId::new(self.power.mode_count() - 2)
+            } else {
+                ModeId::FULL_SPEED
+            };
+            let from = self.power.mode(mode).spin_up;
+            let to = self.power.mode(target).spin_up;
+            let dt = from.time.saturating_sub(to.time);
+            let de = from.energy - to.energy;
+            self.books.record(end + wait, PowerEvent::SpinUp);
+            let report = &mut self.books.report;
+            report.spin_up_time += dt;
+            report.spin_up_energy += de;
+            report.spin_ups += 1;
+            wait += dt;
+            return (wait, target);
+        }
+        (wait, mode)
+    }
+}
+
+impl Books {
+    fn record(&mut self, at: SimTime, event: PowerEvent) {
+        if let Some(t) = self.timeline.as_mut() {
+            t.push(at, event);
+        }
+    }
+
+    /// Accounts residency in a mode.
+    fn rest(&mut self, power: &PowerModel, mode: ModeId, span: SimDuration) {
+        self.report.mode_time[mode.index()] += span;
+        self.report.mode_energy[mode.index()] += power.mode(mode).power * span;
+    }
+
+    /// Walks the demotion `ladder` over an idle period that begins with
+    /// the disk already `offset` deep into it (0 = full speed, the
     /// serve-at-full-speed case). Accounts residencies and the demotion
     /// transitions falling inside the period, optionally a final spin-up.
-    /// Returns (extra wait past the period's end, the mode reached).
+    /// Spin-downs consume real time inside the period; if it ends
+    /// mid-transition the transition completes past its end and the
+    /// remainder is added to the returned wait, together with any final
+    /// spin-up. Returns (extra wait past the period's end, the mode
+    /// reached).
     fn walk_ladder(
         &mut self,
-        start: SimTime,
+        power: &PowerModel,
         ladder: &[LadderStep],
+        start: SimTime,
         offset: SimDuration,
         gap: SimDuration,
         spin_up: bool,
@@ -475,13 +538,13 @@ impl DiskSim {
                 // Entirely before this idle period: the disk already sat
                 // in (or below) this rung when the period began.
                 end_mode = step.mode;
-                prev_down = self.power.mode(step.mode).spin_down;
+                prev_down = power.mode(step.mode).spin_down;
                 continue;
             }
             if step.at_idle >= ladder_end {
                 break;
             }
-            let spec = self.power.mode(step.mode).clone();
+            let down = power.mode(step.mode).spin_down;
             let mut rest_from = step.at_idle.max(offset);
             // A rung whose threshold coincides with the offset is the one
             // the disk already rests in: no transition to charge.
@@ -489,8 +552,8 @@ impl DiskSim {
                 // Demotion into this mode: the incremental transition
                 // relative to the previous rung (the linear model makes
                 // chained demotions cost exactly the full-depth total).
-                let dt = spec.spin_down.time.saturating_sub(prev_down.time);
-                let de = spec.spin_down.energy - prev_down.energy;
+                let dt = down.time.saturating_sub(prev_down.time);
+                let de = down.energy - prev_down.energy;
                 self.record(
                     start + (step.at_idle - offset),
                     PowerEvent::SpinDown { to: step.mode },
@@ -510,87 +573,22 @@ impl DiskSim {
                     start + (rest_from - offset),
                     PowerEvent::Rest { mode: step.mode },
                 );
-                self.rest(step.mode, seg_end - rest_from);
+                self.rest(power, step.mode, seg_end - rest_from);
             }
             end_mode = step.mode;
-            prev_down = spec.spin_down;
+            prev_down = down;
         }
         if spin_up && !end_mode.is_full_speed() {
             // The spin-up begins at the gap's end, after any leftover
             // spin-down completes.
             self.record(start + gap + wait, PowerEvent::SpinUp);
-            let up = self.power.mode(end_mode).spin_up;
+            let up = power.mode(end_mode).spin_up;
             self.report.spin_up_time += up.time;
             self.report.spin_up_energy += up.energy;
             self.report.spin_ups += 1;
             wait += up.time;
         }
         (wait, end_mode)
-    }
-
-    /// The ladder position (cumulative-idle offset) of a resting mode.
-    fn ladder_offset_of(&self, mode: ModeId) -> SimDuration {
-        let ladder: &[LadderStep] = match self.policy {
-            DpmPolicy::FixedThreshold(_) => {
-                self.fixed_ladder.as_deref().expect("fixed ladder exists")
-            }
-            _ => self.power.ladder(),
-        };
-        ladder
-            .iter()
-            .find(|s| s.mode == mode)
-            .map_or(SimDuration::ZERO, |s| s.at_idle)
-    }
-
-    /// Serve-at-speed idle closing: walk the ladder from the resting
-    /// mode; no full spin-up is paid. Returns the wait (leftover
-    /// spin-down, plus a partial spin-up when the disk reached standby —
-    /// a stopped spindle cannot transfer) and the speed the request is
-    /// serviced at.
-    fn close_idle_at_speed(&mut self, start: SimTime, end: SimTime) -> (SimDuration, ModeId) {
-        let offset = self.ladder_offset_of(self.resting_mode);
-        let ladder = match self.policy {
-            DpmPolicy::FixedThreshold(_) => self.fixed_ladder.clone().expect("fixed ladder exists"),
-            DpmPolicy::AlwaysOn => {
-                self.rest(ModeId::FULL_SPEED, end - start);
-                self.record(
-                    start,
-                    PowerEvent::Rest {
-                        mode: ModeId::FULL_SPEED,
-                    },
-                );
-                return (SimDuration::ZERO, ModeId::FULL_SPEED);
-            }
-            _ => self.power.ladder().to_vec(),
-        };
-        let (mut wait, mode) = self.walk_ladder(start, &ladder, offset, end - start, false);
-        if mode == self.power.standby() {
-            // Spin up just far enough to transfer: to the slowest
-            // spinning mode on multi-speed disks, to full speed on
-            // 2-mode disks.
-            let target = if self.power.mode_count() > 2 {
-                ModeId::new(self.power.mode_count() - 2)
-            } else {
-                ModeId::FULL_SPEED
-            };
-            let from = self.power.mode(mode).spin_up;
-            let to = self.power.mode(target).spin_up;
-            let dt = from.time.saturating_sub(to.time);
-            let de = from.energy - to.energy;
-            self.record(end + wait, PowerEvent::SpinUp);
-            self.report.spin_up_time += dt;
-            self.report.spin_up_energy += de;
-            self.report.spin_ups += 1;
-            wait += dt;
-            return (wait, target);
-        }
-        (wait, mode)
-    }
-
-    /// Accounts residency in a mode.
-    fn rest(&mut self, mode: ModeId, span: SimDuration) {
-        self.report.mode_time[mode.index()] += span;
-        self.report.mode_energy[mode.index()] += self.power.mode(mode).power * span;
     }
 }
 

@@ -158,8 +158,10 @@ pub struct OnlineStepper {
     horizon: SimTime,
     requests: u64,
     // One scratch buffer for the stepper's lifetime: the cache fills it on
-    // each access and `coalesce` walks it in place, so the steady-state
-    // per-request path performs no heap allocation.
+    // each access and `coalesce` walks it in place. With it, a step under
+    // LRU and write-through performs no heap allocation once every block
+    // of the working set has been seen (`tests/no_alloc.rs`); write-back
+    // still allocates dirty-map nodes.
     effects: Vec<Effect>,
 }
 
