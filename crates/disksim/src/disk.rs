@@ -67,12 +67,11 @@ pub struct DiskSim {
     power: PowerModel,
     service_model: ServiceModel,
     policy: DpmPolicy,
-    /// The demotion ladder, resolved once from the policy: full speed then
-    /// standby at the threshold for `FixedThreshold`, the model's
-    /// 2-competitive ladder otherwise. `Practical` walks it; `Oracle`
-    /// reads it only for the [`peek_mode`](Self::peek_mode) estimate;
-    /// `AlwaysOn` rests at full speed between requests, and walks it only
-    /// over the trailing idle period a serve-at-speed `finish` closes.
+    /// The demotion ladder, resolved once from the policy: full speed
+    /// alone for `AlwaysOn`, full speed then standby at the threshold for
+    /// `FixedThreshold`, the model's 2-competitive ladder otherwise. Every
+    /// causal policy walks it; `Oracle` reads it only for the
+    /// [`peek_mode`](Self::peek_mode) estimate.
     ladder: Vec<LadderStep>,
     busy_until: SimTime,
     idle_since: Option<SimTime>,
@@ -107,6 +106,10 @@ impl DiskSim {
         policy: DpmPolicy,
     ) -> Self {
         let ladder = match policy {
+            DpmPolicy::AlwaysOn => vec![LadderStep {
+                at_idle: SimDuration::ZERO,
+                mode: ModeId::FULL_SPEED,
+            }],
             DpmPolicy::FixedThreshold(threshold) => vec![
                 LadderStep {
                     at_idle: SimDuration::ZERO,
@@ -227,7 +230,7 @@ impl DiskSim {
     /// DESIGN.md §2).
     #[must_use]
     pub fn peek_mode(&self, now: SimTime) -> ModeId {
-        if now < self.busy_until || self.policy == DpmPolicy::AlwaysOn {
+        if now < self.busy_until {
             return ModeId::FULL_SPEED;
         }
         let Some(idle_since) = self.idle_since else {
@@ -278,7 +281,7 @@ impl DiskSim {
                         service_mode = mode;
                         wait
                     } else {
-                        self.account_idle(idle_start, arrival, true)
+                        self.account_idle(idle_start, arrival, true).0
                     }
                 }
                 _ => {
@@ -360,56 +363,36 @@ impl DiskSim {
         );
         if let Some(idle_start) = self.idle_since.take() {
             if end > idle_start {
-                if self.serve_at_speed {
-                    let offset = self.ladder_offset_of(self.resting_mode);
-                    let _ = self.books.walk_ladder(
-                        &self.power,
-                        &self.ladder,
-                        idle_start,
-                        offset,
-                        end - idle_start,
-                        false,
-                    );
-                } else {
-                    let _ = self.account_idle(idle_start, end, false);
-                }
+                let _ = self.account_idle(idle_start, end, false);
             }
         }
         self.finished = true;
     }
 
-    /// Accounts an idle period `[start, end)`, returning the wait a
-    /// request arriving at `end` suffers (spin-down completion + spin-up).
-    fn account_idle(&mut self, start: SimTime, end: SimTime, spin_up: bool) -> SimDuration {
+    /// Accounts an idle period `[start, end)` that begins in the resting
+    /// mode (full speed unless serving at speed). Returns the wait a
+    /// request arriving at `end` suffers (leftover spin-down, plus the
+    /// spin-up if `spin_up`) and the mode the ladder walk reached (full
+    /// speed for `Oracle`, which walks no ladder).
+    fn account_idle(
+        &mut self,
+        start: SimTime,
+        end: SimTime,
+        spin_up: bool,
+    ) -> (SimDuration, ModeId) {
         let gap = end - start;
-        match self.policy {
-            DpmPolicy::AlwaysOn => {
-                self.books.record(
-                    start,
-                    PowerEvent::Rest {
-                        mode: ModeId::FULL_SPEED,
-                    },
-                );
-                self.books.rest(&self.power, ModeId::FULL_SPEED, gap);
-                SimDuration::ZERO
-            }
-            DpmPolicy::Oracle => {
-                self.account_oracle(start, gap, spin_up);
-                SimDuration::ZERO
-            }
-            DpmPolicy::Practical | DpmPolicy::FixedThreshold(_) => {
-                self.books
-                    .walk_ladder(
-                        &self.power,
-                        &self.ladder,
-                        start,
-                        SimDuration::ZERO,
-                        gap,
-                        spin_up,
-                    )
-                    .0
-            }
+        if self.policy == DpmPolicy::Oracle {
+            self.account_oracle(start, gap, spin_up);
+            return (SimDuration::ZERO, ModeId::FULL_SPEED);
         }
+        // How deep into the ladder the resting mode sits (zero at full speed).
+        let offset = self
+            .ladder
+            .iter()
+            .find(|s| s.mode == self.resting_mode)
+            .map_or(SimDuration::ZERO, |s| s.at_idle);
+        self.books
+            .walk_ladder(&self.power, &self.ladder, start, offset, gap, spin_up)
     }
 
     /// Oracle: one clairvoyant decision for the whole gap. The spin-up is
@@ -441,35 +424,13 @@ impl DiskSim {
         }
     }
 
-    /// The ladder position (cumulative-idle offset) of a resting mode.
-    fn ladder_offset_of(&self, mode: ModeId) -> SimDuration {
-        self.ladder
-            .iter()
-            .find(|s| s.mode == mode)
-            .map_or(SimDuration::ZERO, |s| s.at_idle)
-    }
-
     /// Serve-at-speed idle closing: walk the ladder from the resting
     /// mode; no full spin-up is paid. Returns the wait (leftover
     /// spin-down, plus a partial spin-up when the disk reached standby —
     /// a stopped spindle cannot transfer) and the speed the request is
     /// serviced at.
     fn close_idle_at_speed(&mut self, start: SimTime, end: SimTime) -> (SimDuration, ModeId) {
-        if self.policy == DpmPolicy::AlwaysOn {
-            self.books
-                .rest(&self.power, ModeId::FULL_SPEED, end - start);
-            self.books.record(
-                start,
-                PowerEvent::Rest {
-                    mode: ModeId::FULL_SPEED,
-                },
-            );
-            return (SimDuration::ZERO, ModeId::FULL_SPEED);
-        }
-        let offset = self.ladder_offset_of(self.resting_mode);
-        let (mut wait, mode) =
-            self.books
-                .walk_ladder(&self.power, &self.ladder, start, offset, end - start, false);
+        let (mut wait, mode) = self.account_idle(start, end, false);
         if mode == self.power.standby() {
             // Spin up just far enough to transfer: to the slowest
             // spinning mode on multi-speed disks, to full speed on

@@ -257,7 +257,9 @@ fn multi_speed_books_are_pinned() {
             [0x164a_19ea_02cc_7dfa, 0x9c01_3580_cb33_0165],
             [0x25bc_8dfe_cf8c_257c, 0xba4d_e1e4_0f1f_23b2],
             [0x39d7_0546_4997_5fb6, 0x4186_1207_305a_5486],
-            [0x7f04_dcc1_a9b4_eca8, 0x4a1a_7380_0bd4_8caf],
+            // An always-on disk never leaves full speed, so serving at
+            // speed changes nothing, `finish` included.
+            [0x2a97_0906_cf7f_27ef, 0xda30_37ee_9c10_9984],
             [0xd20d_1c51_baa3_3532, 0x1a65_f92a_1743_d4b7],
             [0x4cf1_ea7c_17db_5d52, 0xe1aa_d0de_c80f_1a67],
         ],
@@ -274,7 +276,9 @@ fn two_mode_books_are_pinned() {
             [0xd760_3144_6a4a_7122, 0xd5e2_7d8c_ea50_3e91],
             [0x4df0_1638_c67a_390c, 0xb5db_e920_0a34_9419],
             [0x7c51_c112_4c39_ffae, 0x8203_1ed6_f747_8c99],
-            [0xecd4_3919_85a1_5eea, 0x41e1_32b9_9ecd_0c2f],
+            // Always-on: as on the multi-speed disk, serving at speed
+            // changes nothing.
+            [0xee94_ee84_1bb5_c41e, 0x3962_97c7_90c2_8495],
             // On a 2-mode disk serving at speed changes nothing: the only
             // spinning mode is full speed, so the partial spin-up from
             // standby is the full one.

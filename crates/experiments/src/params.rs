@@ -1,6 +1,5 @@
 //! Shared experiment parameters.
 
-use std::io;
 use std::sync::OnceLock;
 
 use pc_cache::policy::PaLruConfig;
@@ -150,31 +149,27 @@ impl Params {
     /// [`trace_file`](Self::trace_file) override memory-maps instead —
     /// on-line policies then stream straight off the map with O(1)
     /// steady-state memory and no upfront sort. An unsorted override
-    /// (e.g. a raw multi-connection capture) falls back to the
-    /// materialize-and-sort path of [`trace`](Self::trace).
+    /// (e.g. a raw multi-connection capture) is materialized and sorted
+    /// up front from the same map.
     ///
     /// # Panics
     ///
-    /// Panics when the override file cannot be read or fails structural
+    /// Panics when the override file cannot be read or fails format/CRC
     /// validation, like [`trace`](Self::trace).
     #[must_use]
     pub fn trace_source(&self, kind: TraceKind) -> TraceSource {
-        if let Some(path) = &self.trace_file {
-            let map = MappedTrace::open(path)
-                .unwrap_or_else(|e| panic!("trace file {}: {e}", path.display()));
-            if map.is_time_sorted() {
-                return TraceSource::from_map(map);
-            }
-            drop(map);
-            return TraceSource::from_trace(
-                pc_tracefile::read_trace(path)
-                    .unwrap_or_else(|e| panic!("trace file {}: {e}", path.display())),
-            );
-        }
-        TraceSource::from_trace(match kind {
-            TraceKind::Oltp => self.oltp_trace(),
-            TraceKind::Cello => self.cello_trace(),
-        })
+        let Some(path) = &self.trace_file else {
+            return TraceSource::from_trace(self.trace(kind));
+        };
+        MappedTrace::open(path)
+            .and_then(|map| {
+                if map.is_time_sorted() {
+                    Ok(TraceSource::from_map(map))
+                } else {
+                    map.to_trace().map(TraceSource::from_trace)
+                }
+            })
+            .unwrap_or_else(|e| panic!("trace file {}: {e}", path.display()))
     }
 
     /// PA-LRU's epoch, scaled with the trace length so down-scaled runs
@@ -242,13 +237,13 @@ impl TraceSource {
     ///
     /// # Panics
     ///
-    /// Panics if the map is not time-sorted; callers route unsorted
-    /// files through [`pc_tracefile::read_trace`] instead.
+    /// Panics if the map is not time-sorted; callers materialize
+    /// unsorted files with [`MappedTrace::to_trace`] instead.
     #[must_use]
     pub fn from_map(map: MappedTrace) -> TraceSource {
         assert!(
             map.is_time_sorted(),
-            "mapped trace sources must be time-sorted; use read_trace for unsorted captures"
+            "mapped trace sources must be time-sorted; use to_trace for unsorted captures"
         );
         TraceSource {
             repr: Repr::Mapped {
@@ -302,12 +297,8 @@ impl TraceSource {
         match &self.repr {
             Repr::Mem(t) => t,
             Repr::Mapped { map, mem } => mem.get_or_init(|| {
-                let records = map
-                    .records()
-                    .collect::<io::Result<Vec<_>>>()
-                    .unwrap_or_else(|e| panic!("mapped trace: {e}"));
-                // `from_map` guaranteed sortedness, so no sort here.
-                Trace::from_records(map.disk_count(), records)
+                map.to_trace()
+                    .unwrap_or_else(|e| panic!("mapped trace: {e}"))
             }),
         }
     }

@@ -6,7 +6,7 @@
 //! [`TraceFileWriter`] (chunked, CRC-footed, record count patched into
 //! the header on finish), so surgery on a multi-GB corpus holds one
 //! chunk's worth of write buffer and nothing else, and every output
-//! round-trips through [`pc_tracefile::TraceReader`] validation.
+//! re-validates through the same [`MappedTrace`] decoder.
 //!
 //! The `repro trace filter|slice|merge|rescale` subcommands are thin
 //! argument parsers over these functions.
@@ -347,13 +347,8 @@ mod tests {
         assert_eq!(stats.written, 1_000);
         let back = read_trace(&output).unwrap();
         assert_eq!(back.len(), 1_000);
-        // read_trace re-sorts stably, so equality with the raw stream
-        // proves the merge emitted non-decreasing times.
-        let raw: Vec<_> = pc_tracefile::open(&output)
-            .unwrap()
-            .collect::<io::Result<_>>()
-            .unwrap();
-        assert_eq!(raw.as_slice(), back.records());
+        // The merge must emit non-decreasing times in file order.
+        assert!(MappedTrace::open(&output).unwrap().is_time_sorted());
         // Merging a file with an empty one is the identity.
         let empty = temp("merge-empty");
         pc_tracefile::write_records(&empty, 8, std::iter::empty()).unwrap();

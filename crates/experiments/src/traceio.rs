@@ -13,7 +13,7 @@
 use std::io;
 use std::path::Path;
 
-use pc_trace::{Trace, TraceStats, Workload};
+use pc_trace::{TraceStats, Workload};
 
 /// Exports a workload stream to a binary `.pct` trace file, returning
 /// the record count written.
@@ -36,15 +36,10 @@ pub fn export(workload: &Workload, seed: u64, path: &Path) -> io::Result<u64> {
 ///
 /// Propagates read failures and format/CRC violations.
 pub fn info(path: &Path) -> io::Result<String> {
-    let reader = pc_tracefile::open(path)?;
-    let header = *reader.header();
-    let trace = pc_tracefile::read_trace(path)?;
-    Ok(render_info(&header, &trace))
-}
-
-fn render_info(header: &pc_tracefile::Header, trace: &Trace) -> String {
-    let s = TraceStats::of(trace);
-    format!(
+    let map = pc_tracefile::MappedTrace::open(path)?;
+    let (header, trace) = (map.header(), map.to_trace()?);
+    let s = TraceStats::of(&trace);
+    Ok(format!(
         "format=v{} disks={} records={} chunk_records={}\n\
          requests={} writes={:.1}% mean-gap={} cold={:.1}% unique-blocks={}\n",
         header.version,
@@ -56,7 +51,7 @@ fn render_info(header: &pc_tracefile::Header, trace: &Trace) -> String {
         s.mean_interarrival,
         s.cold_fraction * 100.0,
         s.unique_blocks,
-    )
+    ))
 }
 
 #[cfg(test)]

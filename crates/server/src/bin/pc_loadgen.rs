@@ -265,17 +265,18 @@ fn main() -> ExitCode {
 }
 
 fn run_in_process_mode(args: &Args) -> ExitCode {
-    let Some(policy) = online_policy(&args.policy) else {
-        eprintln!("unknown policy {:?}", args.policy);
-        return ExitCode::FAILURE;
-    };
     let Some(write_policy) = parse_write_policy(&args.write_policy) else {
         eprintln!("unknown write policy {:?}", args.write_policy);
         return ExitCode::FAILURE;
     };
+    let sim = pc_sim::SimConfig::default().with_write_policy(write_policy);
+    let Some(policy) = online_policy(&args.policy, &sim) else {
+        eprintln!("unknown policy {:?}", args.policy);
+        return ExitCode::FAILURE;
+    };
     let mut engine = EngineConfig::new(args.shards, args.load.workload.disk_count())
         .with_policy(policy)
-        .with_sim(pc_sim::SimConfig::default().with_write_policy(write_policy))
+        .with_sim(sim)
         .with_queue_bound(args.shard_queue);
     if let Some(slow) = args.slow_shard {
         if slow.shard >= args.shards {

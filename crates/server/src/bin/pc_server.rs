@@ -149,17 +149,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
-    let policy = online_policy(&policy_name).ok_or_else(|| {
-        format!(
-            "unknown policy {policy_name:?}; online policies: {ONLINE_POLICIES:?} plus \"meta\""
-        )
-    })?;
     let write_policy = parse_write_policy(&write_name)
         .ok_or_else(|| format!("unknown write policy {write_name:?}"))?;
     let sim = pc_sim::SimConfig::default()
         .with_cache_blocks(cache_blocks)
         .with_write_policy(write_policy)
         .with_prefetch_depth(prefetch);
+    let policy = online_policy(&policy_name, &sim).ok_or_else(|| {
+        format!(
+            "unknown policy {policy_name:?}; online policies: {ONLINE_POLICIES:?} plus \"meta\""
+        )
+    })?;
     let mut engine = EngineConfig::new(shards, disks)
         .with_policy(policy)
         .with_sim(sim)

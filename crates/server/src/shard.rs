@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
+use pc_cache::policy::PaLruConfig;
 use pc_sim::{OnlineStepper, PolicySpec, SimConfig, StepOutcome};
 use pc_trace::{IoOp, Record, Trace};
 use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
@@ -32,14 +33,15 @@ pub const ONLINE_POLICIES: &[&str] = &[
     "lru", "fifo", "arc", "mq", "lirs", "2q", "pa-lru", "pa-arc", "pa-mq", "pa-lirs", "pa-2q",
 ];
 
-/// Parses an online policy name into its [`PolicySpec`].
+/// Parses an online policy name into its [`PolicySpec`] for an engine
+/// simulating `sim`.
 ///
-/// Power-aware wrapper parameters are derived from the power model at
-/// build time, so the spec carries a placeholder config that
-/// [`EngineConfig::build_policy`] replaces.
+/// Every power-aware policy derives its parameters from `sim`'s power
+/// model, as `pa-lru` and the meta-policy's candidates do: the interval
+/// threshold T is the first NAP mode's break-even time.
 #[must_use]
-pub fn online_policy(name: &str) -> Option<PolicySpec> {
-    use pc_cache::policy::PaLruConfig;
+pub fn online_policy(name: &str, sim: &SimConfig) -> Option<PolicySpec> {
+    let pa = || PaLruConfig::for_power_model(&sim.power_model());
     match name {
         "lru" => Some(PolicySpec::Lru),
         "fifo" => Some(PolicySpec::Fifo),
@@ -48,10 +50,10 @@ pub fn online_policy(name: &str) -> Option<PolicySpec> {
         "lirs" => Some(PolicySpec::Lirs),
         "2q" => Some(PolicySpec::TwoQ),
         "pa-lru" => Some(PolicySpec::PaLru),
-        "pa-arc" => Some(PolicySpec::PaArc(PaLruConfig::default())),
-        "pa-mq" => Some(PolicySpec::PaMq(PaLruConfig::default())),
-        "pa-lirs" => Some(PolicySpec::PaLirs(PaLruConfig::default())),
-        "pa-2q" => Some(PolicySpec::PaTwoQ(PaLruConfig::default())),
+        "pa-arc" => Some(PolicySpec::PaArc(pa())),
+        "pa-mq" => Some(PolicySpec::PaMq(pa())),
+        "pa-lirs" => Some(PolicySpec::PaLirs(pa())),
+        "pa-2q" => Some(PolicySpec::PaTwoQ(pa())),
         // The adaptive meta-policy wraps the 11 fixed policies above; it
         // stays out of ONLINE_POLICIES so fixed-policy sweeps don't
         // recurse into it.
@@ -611,20 +613,46 @@ mod tests {
 
     #[test]
     fn every_online_policy_builds_a_shard() {
+        let sim = SimConfig::default();
         for name in ONLINE_POLICIES {
-            let spec = online_policy(name).unwrap();
+            let spec = online_policy(name, &sim).unwrap();
             let cfg = EngineConfig::new(2, 4).with_policy(spec);
             let mut shard = ShardEngine::new(0, &cfg);
             let out = shard.ingest(SimTime::from_millis(1), 0, 7, 1, false);
             assert!(!out.hit, "{name}: first access must miss");
         }
         assert_eq!(ONLINE_POLICIES.len(), 11);
-        assert!(online_policy("belady").is_none());
+        assert!(online_policy("belady", &sim).is_none());
+    }
+
+    #[test]
+    fn power_aware_policies_take_their_threshold_from_the_power_model() {
+        // T is the first NAP mode's break-even time (10.678 s for the
+        // default multi-speed Ultrastar), never a placeholder.
+        for sim in [
+            SimConfig::default(),
+            SimConfig::default().with_two_mode_disks(),
+        ] {
+            let power = sim.power_model();
+            let want = power.break_even(pc_diskmodel::ModeId::new(1));
+            for name in ONLINE_POLICIES.iter().filter(|n| n.starts_with("pa-")) {
+                let threshold = match online_policy(name, &sim).unwrap() {
+                    // PA-LRU derives its config from the model in `build`.
+                    PolicySpec::PaLru => PaLruConfig::for_power_model(&power).interval_threshold,
+                    PolicySpec::PaArc(cfg)
+                    | PolicySpec::PaMq(cfg)
+                    | PolicySpec::PaLirs(cfg)
+                    | PolicySpec::PaTwoQ(cfg) => cfg.interval_threshold,
+                    other => panic!("{name} parsed to {other:?}"),
+                };
+                assert_eq!(threshold, want, "{name}");
+            }
+        }
     }
 
     #[test]
     fn meta_policy_builds_a_shard_and_reports_gauges() {
-        let spec = online_policy("meta").unwrap();
+        let spec = online_policy("meta", &SimConfig::default()).unwrap();
         assert_eq!(spec.name(), "meta");
         assert!(
             !ONLINE_POLICIES.contains(&"meta"),

@@ -10,16 +10,15 @@
 //! The format is fixed-width little-endian throughout: a 32-byte header
 //! (magic, version, disk geometry, record count) followed by chunks of
 //! 32-byte records, each chunk closed by a CRC32C footer (computed by
-//! [`pc_crc`]), and a zero-record chunk as the end-of-stream marker. It
-//! reads two ways:
+//! [`pc_crc`]), and a zero-record chunk as the end-of-stream marker.
 //!
-//! * **Streamed** — [`TraceReader`] wraps any [`std::io::Read`], verifying
-//!   each chunk's CRC before yielding its records.
-//! * **Mapped** — [`MappedTrace`] memory-maps a file itself (a
-//!   first-party `mmap(2)` wrapper, the crate's only `unsafe`) and
-//!   verifies chunk CRCs lazily, on first touch, so opening a
-//!   multi-gigabyte trace is O(1) and replay streams straight off the
-//!   page cache with no per-record allocation.
+//! [`MappedTrace`] is the one decoder. It memory-maps a file itself (a
+//! first-party `mmap(2)` wrapper, the crate's only `unsafe`) and
+//! verifies chunk CRCs lazily, on first touch, so opening a
+//! multi-gigabyte trace is O(1) and replay streams straight off the page
+//! cache with no per-record allocation. Callers that need the whole
+//! trace in memory materialize it with [`MappedTrace::to_trace`] (or
+//! [`read_trace`] for a path), which sorts a time-unsorted capture.
 //!
 //! Corrupt input — truncation, bit flips, bad geometry — always surfaces
 //! as a clean [`std::io::Error`], never a panic.
@@ -28,7 +27,7 @@
 //!
 //! ```
 //! use pc_trace::Workload;
-//! use pc_tracefile::{TraceReader, TraceWriter};
+//! use pc_tracefile::{MappedTrace, TraceWriter};
 //!
 //! // Export 100 synthetic records to an in-memory "file"...
 //! let workload = Workload::parse("synthetic").unwrap().with_requests(100);
@@ -40,11 +39,8 @@
 //! assert_eq!(count, 100);
 //!
 //! // ...and replaying it yields the exact same records.
-//! let replayed: Vec<_> = TraceReader::new(bytes.as_slice())
-//!     .unwrap()
-//!     .collect::<std::io::Result<_>>()
-//!     .unwrap();
-//! assert_eq!(replayed, workload.stream(7).collect::<Vec<_>>());
+//! let trace = MappedTrace::from_bytes(bytes).unwrap().to_trace().unwrap();
+//! assert_eq!(trace.records(), workload.stream(7).collect::<Vec<_>>());
 //! ```
 
 // `deny` rather than `forbid`: all unsafe lives in the `mmap` module,
@@ -56,13 +52,11 @@ mod format;
 mod mapped;
 #[allow(unsafe_code)]
 mod mmap;
-mod reader;
 mod writer;
 
 pub use format::{
     decode_record, encode_record, Header, CHUNK_FOOT_BYTES, CHUNK_HEAD_BYTES,
     DEFAULT_CHUNK_RECORDS, FORMAT_VERSION, HEADER_BYTES, MAGIC, RECORD_BYTES, RECORD_COUNT_UNKNOWN,
 };
-pub use mapped::{MappedTrace, Records};
-pub use reader::{open, read_trace, TraceReader};
+pub use mapped::{read_trace, MappedTrace, Records};
 pub use writer::{write_records, write_trace, TraceFileWriter, TraceWriter};

@@ -1,11 +1,12 @@
-//! Lazily-verified random access over a memory-mapped `.pct` file.
+//! The `.pct` decoder: lazily-verified random access over a
+//! memory-mapped file, and the materializing [`read_trace`] on top.
 
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pc_crc::crc32c;
-use pc_trace::Record;
+use pc_trace::{Record, Trace};
 
 use crate::format::{bad, decode_record, Header, HEADER_BYTES, RECORD_BYTES};
 use crate::mmap::Mapping;
@@ -240,13 +241,20 @@ impl MappedTrace {
         self.time_sorted
     }
 
+    /// Byte offset of data chunk `chunk`'s first record. Every chunk
+    /// before it is full: the structural pass rejects irregular chunking.
+    fn chunk_data_start(&self, chunk: u64) -> usize {
+        let full_chunk = (CHUNK_HEAD_BYTES + CHUNK_FOOT_BYTES) as u64
+            + u64::from(self.header.chunk_records) * RECORD_BYTES as u64;
+        let start = HEADER_BYTES as u64 + chunk * full_chunk + CHUNK_HEAD_BYTES as u64;
+        usize::try_from(start).expect("validated file fits in memory")
+    }
+
     /// Byte extent of data chunk `chunk`: its record bytes and stored CRC.
     fn chunk_extent(&self, chunk: u64) -> (&[u8], u32) {
         let per = u64::from(self.header.chunk_records);
         let count = per.min(self.len - chunk * per);
-        let full_chunk = (CHUNK_HEAD_BYTES + CHUNK_FOOT_BYTES) as u64 + per * RECORD_BYTES as u64;
-        let start = HEADER_BYTES as u64 + chunk * full_chunk + CHUNK_HEAD_BYTES as u64;
-        let start = usize::try_from(start).expect("validated file fits in memory");
+        let start = self.chunk_data_start(chunk);
         let data_len = usize::try_from(count).unwrap() * RECORD_BYTES;
         let bytes = self.backing.as_bytes();
         let data = &bytes[start..start + data_len];
@@ -296,12 +304,8 @@ impl MappedTrace {
         let per = u64::from(self.header.chunk_records);
         let (chunk, within) = (index / per, index % per);
         self.ensure_verified(chunk)?;
-        let full_chunk = (CHUNK_HEAD_BYTES + CHUNK_FOOT_BYTES) as u64 + per * RECORD_BYTES as u64;
-        let off = HEADER_BYTES as u64
-            + chunk * full_chunk
-            + CHUNK_HEAD_BYTES as u64
-            + within * RECORD_BYTES as u64;
-        let off = usize::try_from(off).expect("validated file fits in memory");
+        let within = usize::try_from(within).expect("chunk positions fit in a u32");
+        let off = self.chunk_data_start(chunk) + within * RECORD_BYTES;
         let bytes: &[u8; RECORD_BYTES] = self.backing.as_bytes()[off..off + RECORD_BYTES]
             .try_into()
             .unwrap();
@@ -318,6 +322,26 @@ impl MappedTrace {
             next: 0,
             done: false,
         }
+    }
+
+    /// Materializes the whole file as a [`Trace`], stably sorted by
+    /// arrival time (live captures interleave connections, so file order
+    /// need not be time order). A time-sorted map skips the sort; the
+    /// result is identical either way, since a stable sort of sorted
+    /// input is the identity.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first CRC or record-field error.
+    pub fn to_trace(&self) -> io::Result<Trace> {
+        let mut records = Vec::with_capacity(usize::try_from(self.len).unwrap_or(0));
+        for record in self.records() {
+            records.push(record?);
+        }
+        if !self.time_sorted {
+            records.sort_by_key(|r| r.time);
+        }
+        Ok(Trace::from_records(self.disk_count(), records))
     }
 
     /// Verifies every chunk's CRC and every record's fields in one pass.
@@ -348,6 +372,16 @@ impl MappedTrace {
     pub fn crc_computations(&self) -> u64 {
         self.crc_computations.load(Ordering::Relaxed)
     }
+}
+
+/// Reads a whole file into a [`Trace`]: [`MappedTrace::open`] then
+/// [`MappedTrace::to_trace`].
+///
+/// # Errors
+///
+/// Returns any I/O, CRC, or format error.
+pub fn read_trace<P: AsRef<Path>>(path: P) -> io::Result<Trace> {
+    MappedTrace::open(path)?.to_trace()
 }
 
 /// Zero-allocation iterator over a [`MappedTrace`]'s records in file

@@ -22,7 +22,7 @@ use crate::{encode_record, RECORD_COUNT_UNKNOWN};
 /// # Examples
 ///
 /// ```
-/// use pc_tracefile::{TraceReader, TraceWriter};
+/// use pc_tracefile::{MappedTrace, TraceWriter};
 /// use pc_trace::{IoOp, Record};
 /// use pc_units::{BlockId, BlockNo, DiskId, SimTime};
 ///
@@ -35,11 +35,9 @@ use crate::{encode_record, RECORD_COUNT_UNKNOWN};
 /// w.push(rec).unwrap();
 /// let (bytes, count) = w.finish().unwrap();
 /// assert_eq!(count, 1);
-/// let back: Vec<Record> = TraceReader::new(bytes.as_slice())
-///     .unwrap()
-///     .collect::<std::io::Result<_>>()
-///     .unwrap();
-/// assert_eq!(back, vec![rec]);
+/// let map = MappedTrace::from_bytes(bytes).unwrap();
+/// assert_eq!(map.header().record_count, None, "a plain sink cannot patch the count");
+/// assert_eq!(map.get(0).unwrap(), rec);
 /// ```
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
@@ -170,8 +168,8 @@ impl<W: Write> TraceWriter<W> {
 }
 
 /// A [`TraceWriter`] over a buffered file that patches the true record
-/// count into the header when finished, so readers and the zero-parse
-/// slice view know the total up front.
+/// count into the header when finished, so [`MappedTrace`](crate::MappedTrace)
+/// checks the total against the chunks.
 #[derive(Debug)]
 pub struct TraceFileWriter {
     inner: TraceWriter<BufWriter<File>>,

@@ -6,7 +6,7 @@
 //! plus a new reader arm, not a fixture regeneration.
 
 use pc_crc::crc32c;
-use pc_tracefile::{encode_record, open, read_trace};
+use pc_tracefile::{encode_record, read_trace, MappedTrace};
 
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/golden.pct")
@@ -15,7 +15,7 @@ fn golden_path() -> std::path::PathBuf {
 #[test]
 fn golden_fixture_still_decodes_identically() {
     let path = golden_path();
-    let reader = open(&path).unwrap();
+    let reader = MappedTrace::open(&path).unwrap();
     let header = *reader.header();
     assert_eq!(header.version, 1);
     assert_eq!(header.disk_count, 20);

@@ -1,4 +1,5 @@
-//! Measures trace-ingest startup and memory for the two `.pct` paths:
+//! Measures trace-ingest startup and memory for the two ways of using
+//! the one `.pct` decoder, streaming and materializing:
 //!
 //! ```text
 //! cargo run --release --example trace_ingest -- mmap  FILE.pct
@@ -8,12 +9,13 @@
 //! `mmap` opens the file with [`pc_tracefile::MappedTrace`] and streams
 //! it record by record (each chunk's CRC verifying on first touch) —
 //! the path `repro --trace` and `pc-loadgen --trace` use. `read`
-//! materializes the whole file with [`pc_tracefile::read_trace`]. Both
-//! report time-to-first-record (what a streaming simulation waits
-//! before its first simulated request), the full-pass wall time and
-//! throughput, and the process's peak RSS (`VmHWM`). Run the two modes
-//! as separate processes: peak RSS is a high-water mark, so a single
-//! process would charge the second mode with the first one's footprint.
+//! materializes the same map into a `Vec` ([`pc_tracefile::read_trace`]),
+//! as off-line policies and unsorted captures do. Both report
+//! time-to-first-record (what a streaming simulation waits before its
+//! first simulated request), the full-pass wall time and throughput, and
+//! the process's peak RSS (`VmHWM`). Run the two modes as separate
+//! processes: peak RSS is a high-water mark, so a single process would
+//! charge the second mode with the first one's footprint.
 
 use std::time::Instant;
 
