@@ -8,7 +8,7 @@
 
 use pc_units::{BlockId, SimTime};
 
-use crate::policy::{IndexList, ReplacementPolicy};
+use crate::policy::{IndexList, OnlinePolicy, ReplacementPolicy};
 use crate::table::{BlockTable, Slot};
 
 /// Where the pending (missed) block came from, deciding its insertion
@@ -104,7 +104,7 @@ impl ArcPolicy {
 
 impl ReplacementPolicy for ArcPolicy {
     fn name(&self) -> String {
-        "arc".to_owned()
+        OnlinePolicy::Arc.name().to_owned()
     }
 
     fn on_access(&mut self, slot: Option<Slot>, block: BlockId, _time: SimTime) {

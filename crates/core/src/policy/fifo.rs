@@ -2,7 +2,7 @@
 
 use pc_units::{BlockId, SimTime};
 
-use crate::policy::{IndexList, ReplacementPolicy};
+use crate::policy::{IndexList, OnlinePolicy, ReplacementPolicy};
 use crate::table::Slot;
 
 /// FIFO: evicts the block resident the longest, regardless of use.
@@ -36,7 +36,7 @@ impl Fifo {
 
 impl ReplacementPolicy for Fifo {
     fn name(&self) -> String {
-        "fifo".to_owned()
+        OnlinePolicy::Fifo.name().to_owned()
     }
 
     fn on_access(&mut self, _slot: Option<Slot>, _block: BlockId, _time: SimTime) {}

@@ -23,7 +23,7 @@
 
 use pc_units::{BlockId, SimTime};
 
-use crate::policy::{IndexList, ReplacementPolicy};
+use crate::policy::{IndexList, OnlinePolicy, ReplacementPolicy};
 use crate::table::{BlockTable, Slot};
 
 /// "No cache slot" marker for non-resident directory entries.
@@ -180,7 +180,7 @@ impl Lirs {
 
 impl ReplacementPolicy for Lirs {
     fn name(&self) -> String {
-        "lirs".to_owned()
+        OnlinePolicy::Lirs.name().to_owned()
     }
 
     fn on_access(&mut self, slot: Option<Slot>, _block: BlockId, _time: SimTime) {

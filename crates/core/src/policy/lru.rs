@@ -2,7 +2,7 @@
 
 use pc_units::{BlockId, SimTime};
 
-use crate::policy::{IndexList, ReplacementPolicy};
+use crate::policy::{IndexList, OnlinePolicy, ReplacementPolicy};
 use crate::table::Slot;
 
 /// Classic LRU: evicts the block whose last access is oldest.
@@ -55,7 +55,7 @@ impl Lru {
 
 impl ReplacementPolicy for Lru {
     fn name(&self) -> String {
-        "lru".to_owned()
+        OnlinePolicy::Lru.name().to_owned()
     }
 
     fn on_access(&mut self, slot: Option<Slot>, _block: BlockId, _time: SimTime) {

@@ -24,21 +24,17 @@
 //! residents in recency order, oldest first. The cache contents are
 //! untouched; only the bookkeeping changes hands.
 
-use pc_units::{BlockId, SimDuration, SimTime};
+use pc_units::{BlockId, SimTime};
 
-use crate::policy::{ArcPolicy, Fifo, Lirs, Lru, Mq, Pa, PaLru, PaLruConfig, TwoQ};
+use crate::policy::{OnlinePolicy, PaLruConfig};
 use crate::table::Slot;
 use crate::{BloomFilter, IntervalHistogram, ReplacementPolicy};
 
 use super::MetaStats;
 
-/// The candidate family, in fixed score order (ties break toward the
-/// lower index). These are the 11 online policies the simulator exposes.
-const CANDIDATES: [&str; 11] = [
-    "lru", "fifo", "arc", "mq", "lirs", "2q", "pa-lru", "pa-arc", "pa-mq", "pa-lirs", "pa-2q",
-];
-
-/// Index of the starting champion (`lru` — the paper's baseline).
+/// Index of the starting champion in [`OnlinePolicy::ALL`], the
+/// candidate family in fixed score order (ties break toward the lower
+/// index): `lru`, the paper's baseline.
 const INITIAL: usize = 0;
 
 /// Tuning knobs for [`MetaPolicy`].
@@ -58,41 +54,27 @@ pub struct MetaConfig {
     /// Exponential smoothing factor for the weight table (fraction of
     /// the *old* weight kept each epoch).
     pub decay: f64,
-    /// Miss gaps at or above this count as "long" — the power break-even
-    /// horizon that makes the PA variants worth their bookkeeping.
-    pub interval_threshold: SimDuration,
     /// Cache capacity in blocks, for the sub-policies that size ghost
     /// structures (ARC, MQ, LIRS, 2Q).
     pub capacity: usize,
-    /// Classification parameters handed to the PA sub-policies.
+    /// Classification parameters handed to the PA sub-policies. Its
+    /// interval threshold also splits miss gaps into "long" and short:
+    /// the power break-even horizon that makes the PA variants worth
+    /// their bookkeeping.
     pub pa: PaLruConfig,
 }
 
 impl MetaConfig {
-    /// A configuration for a cache of `capacity` blocks with default PA
-    /// parameters.
+    /// A configuration for a cache of `capacity` blocks whose PA
+    /// sub-policies classify with `pa`.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, pa: PaLruConfig) -> Self {
         MetaConfig {
             epoch_accesses: 1024,
             margin: 0.05,
             decay: 0.5,
-            interval_threshold: PaLruConfig::default().interval_threshold,
-            capacity: capacity.min(1 << 30),
-            pa: PaLruConfig::default(),
-        }
-    }
-
-    /// Derives the power-dependent thresholds from a concrete power
-    /// model, exactly as [`PaLruConfig::for_power_model`] does for
-    /// PA-LRU.
-    #[must_use]
-    pub fn for_power_model(power: &pc_diskmodel::PowerModel, capacity: usize) -> Self {
-        let pa = PaLruConfig::for_power_model(power);
-        MetaConfig {
-            interval_threshold: pa.interval_threshold,
+            capacity,
             pa,
-            ..MetaConfig::new(capacity)
         }
     }
 }
@@ -145,10 +127,10 @@ impl EpochWindow {
 /// # Examples
 ///
 /// ```
-/// use pc_cache::policy::{MetaConfig, MetaPolicy};
+/// use pc_cache::policy::{MetaConfig, MetaPolicy, PaLruConfig};
 /// use pc_cache::{BlockCache, WritePolicy};
 ///
-/// let meta = MetaPolicy::new(MetaConfig::new(1024));
+/// let meta = MetaPolicy::new(MetaConfig::new(1024, PaLruConfig::default()));
 /// let cache = BlockCache::new(1024, Box::new(meta), WritePolicy::WriteBack);
 /// assert_eq!(cache.policy_name(), "meta");
 /// let stats = cache.meta_stats().expect("meta policy exposes gauges");
@@ -160,7 +142,7 @@ pub struct MetaPolicy {
     active: Box<dyn ReplacementPolicy>,
     active_idx: usize,
     /// Smoothed per-candidate weights (AWRP-style ranking state).
-    weights: [f64; CANDIDATES.len()],
+    weights: [f64; OnlinePolicy::ALL.len()],
     /// Slot-indexed mirror of the resident set.
     resident: Vec<Option<Resident>>,
     seq: u64,
@@ -173,7 +155,7 @@ pub struct MetaPolicy {
 impl std::fmt::Debug for MetaPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetaPolicy")
-            .field("active", &CANDIDATES[self.active_idx])
+            .field("active", &OnlinePolicy::ALL[self.active_idx].name())
             .field("switches", &self.switches)
             .field("epochs", &self.epochs)
             .finish_non_exhaustive()
@@ -185,12 +167,12 @@ impl MetaPolicy {
     #[must_use]
     pub fn new(config: MetaConfig) -> Self {
         let bloom = BloomFilter::new(config.pa.bloom_bits, config.pa.bloom_hashes);
-        let active = build_candidate(INITIAL, &config);
+        let active = OnlinePolicy::ALL[INITIAL].build(config.capacity, &config.pa);
         MetaPolicy {
             config,
             active,
             active_idx: INITIAL,
-            weights: [0.5; CANDIDATES.len()],
+            weights: [0.5; OnlinePolicy::ALL.len()],
             resident: Vec::new(),
             seq: 0,
             epoch: EpochWindow::new(),
@@ -203,7 +185,7 @@ impl MetaPolicy {
     /// The live sub-policy's canonical name.
     #[must_use]
     pub fn active_name(&self) -> &'static str {
-        CANDIDATES[self.active_idx]
+        OnlinePolicy::ALL[self.active_idx].name()
     }
 
     /// Number of champion switches so far.
@@ -246,7 +228,7 @@ impl MetaPolicy {
         } else {
             let mut below = 0.0;
             for (edge, f) in w.gaps.cdf() {
-                if edge < self.config.interval_threshold {
+                if edge < self.config.pa.interval_threshold {
                     below = f;
                 } else {
                     break;
@@ -262,7 +244,7 @@ impl MetaPolicy {
         }
 
         let mut best = 0;
-        for i in 1..CANDIDATES.len() {
+        for i in 1..OnlinePolicy::ALL.len() {
             if self.weights[i] > self.weights[best] {
                 best = i;
             }
@@ -288,7 +270,7 @@ impl MetaPolicy {
             .filter_map(|(slot, r)| r.map(|r| (r.seq, Slot::new(slot as u32), r.block, r.last)))
             .collect();
         warm.sort_unstable_by_key(|&(seq, ..)| seq);
-        let mut next = build_candidate(idx, &self.config);
+        let mut next = OnlinePolicy::ALL[idx].build(self.config.capacity, &self.config.pa);
         for &(_, slot, block, last) in &warm {
             next.on_access(None, block, last);
             next.on_insert(slot, block, last);
@@ -355,30 +337,10 @@ impl ReplacementPolicy for MetaPolicy {
 
     fn meta_stats(&self) -> Option<MetaStats> {
         Some(MetaStats {
-            active: CANDIDATES[self.active_idx].to_owned(),
+            active: self.active_name().to_owned(),
             switches: self.switches,
             epochs: self.epochs,
         })
-    }
-}
-
-/// Builds candidate `idx` from scratch.
-fn build_candidate(idx: usize, config: &MetaConfig) -> Box<dyn ReplacementPolicy> {
-    let sized = config.capacity;
-    let pa = || config.pa.clone();
-    match CANDIDATES[idx] {
-        "lru" => Box::new(Lru::new()),
-        "fifo" => Box::new(Fifo::new()),
-        "arc" => Box::new(ArcPolicy::new(sized)),
-        "mq" => Box::new(Mq::new(sized)),
-        "lirs" => Box::new(Lirs::new(sized)),
-        "2q" => Box::new(TwoQ::new(sized)),
-        "pa-lru" => Box::new(PaLru::new(pa())),
-        "pa-arc" => Box::new(Pa::new(pa(), ArcPolicy::new(sized), ArcPolicy::new(sized))),
-        "pa-mq" => Box::new(Pa::new(pa(), Mq::new(sized), Mq::new(sized))),
-        "pa-lirs" => Box::new(Pa::new(pa(), Lirs::new(sized), Lirs::new(sized))),
-        "pa-2q" => Box::new(Pa::new(pa(), TwoQ::new(sized), TwoQ::new(sized))),
-        other => unreachable!("unknown meta candidate {other}"),
     }
 }
 
@@ -394,7 +356,7 @@ fn build_candidate(idx: usize, config: &MetaConfig) -> Box<dyn ReplacementPolicy
 ///   long-gap fraction, crossing 1 when half the miss gaps clear the
 ///   break-even point: above that the classifier's priority protection
 ///   pays; below it, it is pure overhead.
-fn candidate_scores(h: f64, c: f64, g: f64) -> [f64; CANDIDATES.len()] {
+fn candidate_scores(h: f64, c: f64, g: f64) -> [f64; OnlinePolicy::ALL.len()] {
     let warm = 1.0 - c;
     let lru = 0.60 + 0.40 * h;
     let fifo = 0.30 + 0.40 * c;
@@ -426,7 +388,7 @@ mod tests {
     fn meta(epoch: u64) -> MetaPolicy {
         MetaPolicy::new(MetaConfig {
             epoch_accesses: epoch,
-            ..MetaConfig::new(1024)
+            ..MetaConfig::new(1024, PaLruConfig::default())
         })
     }
 

@@ -30,6 +30,7 @@ mod list;
 mod lru;
 mod meta;
 mod mq;
+mod online;
 mod opg;
 mod pa;
 mod pa_lru;
@@ -44,6 +45,7 @@ pub use list::{IndexList, PairedList};
 pub use lru::Lru;
 pub use meta::{MetaConfig, MetaPolicy};
 pub use mq::Mq;
+pub use online::OnlinePolicy;
 pub use opg::{Opg, OpgDpm};
 pub use pa::Pa;
 pub use pa_lru::{PaLru, PaLruConfig};

@@ -11,7 +11,7 @@
 
 use pc_units::{BlockId, SimTime};
 
-use crate::policy::{IndexList, ReplacementPolicy};
+use crate::policy::{IndexList, OnlinePolicy, ReplacementPolicy};
 use crate::table::{BlockTable, Slot};
 
 /// Per-resident-slot metadata.
@@ -152,7 +152,7 @@ impl Mq {
 
 impl ReplacementPolicy for Mq {
     fn name(&self) -> String {
-        "mq".to_owned()
+        OnlinePolicy::Mq.name().to_owned()
     }
 
     fn on_access(&mut self, slot: Option<Slot>, _block: BlockId, _time: SimTime) {

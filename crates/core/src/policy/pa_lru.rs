@@ -11,7 +11,7 @@
 use pc_diskmodel::{ModeId, PowerModel};
 use pc_units::{BlockId, DiskId, SimDuration, SimTime};
 
-use crate::policy::{DiskClassifier, PairedList, ReplacementPolicy};
+use crate::policy::{DiskClassifier, OnlinePolicy, PairedList, ReplacementPolicy};
 use crate::table::Slot;
 
 /// Tuning knobs for PA classification (used by [`PaLru`] and the generic
@@ -132,7 +132,7 @@ impl PaLru {
 
 impl ReplacementPolicy for PaLru {
     fn name(&self) -> String {
-        "pa-lru".to_owned()
+        OnlinePolicy::PaLru.name().to_owned()
     }
 
     fn on_access(&mut self, slot: Option<Slot>, block: BlockId, time: SimTime) {

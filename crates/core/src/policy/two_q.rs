@@ -7,7 +7,7 @@
 
 use pc_units::{BlockId, SimTime};
 
-use crate::policy::{IndexList, ReplacementPolicy};
+use crate::policy::{IndexList, OnlinePolicy, ReplacementPolicy};
 use crate::table::{BlockTable, Slot};
 
 /// The 2Q replacement policy, sized for a specific cache capacity.
@@ -90,7 +90,7 @@ impl TwoQ {
 
 impl ReplacementPolicy for TwoQ {
     fn name(&self) -> String {
-        "2q".to_owned()
+        OnlinePolicy::TwoQ.name().to_owned()
     }
 
     fn on_access(&mut self, slot: Option<Slot>, block: BlockId, _time: SimTime) {

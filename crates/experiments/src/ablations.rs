@@ -1,7 +1,7 @@
 //! Ablations beyond the paper's figures: the design-choice sweeps
 //! DESIGN.md §6 calls out.
 
-use pc_cache::policy::PaLruConfig;
+use pc_cache::policy::{OnlinePolicy, PaLruConfig};
 use pc_cache::WritePolicy;
 use pc_sim::{run_replacement, run_write_policy, PolicySpec, SimConfig};
 use pc_units::{Joules, SimDuration};
@@ -67,10 +67,7 @@ pub fn pa_sensitivity(params: &Params) -> ExperimentOutput {
     let trace = params.oltp_trace();
     let cfg = SimConfig::default();
     let lru = run_replacement(&trace, &PolicySpec::Lru, &cfg);
-    let base = PaLruConfig {
-        epoch: params.pa_epoch(),
-        ..PaLruConfig::for_power_model(&cfg.power_model())
-    };
+    let base = params.pa_config(&cfg.power_model());
     let mut t = Table::new(["variant", "saving over lru"]);
     let mut out = ExperimentOutput::default();
     let variants: Vec<(&'static str, PaLruConfig)> = vec![
@@ -126,7 +123,8 @@ pub fn pa_sensitivity(params: &Params) -> ExperimentOutput {
         ),
     ];
     let savings = sweep::over(params, variants, |(label, config)| {
-        let r = run_replacement(&trace, &PolicySpec::PaLruWith(config.clone()), &cfg);
+        let spec = PolicySpec::Online(OnlinePolicy::PaLru, Some(config.clone()));
+        let r = run_replacement(&trace, &spec, &cfg);
         (*label, r.saving_over(&lru))
     });
     for (label, saving) in savings {
@@ -157,7 +155,8 @@ pub fn mode_count(params: &Params) -> ExperimentOutput {
         (*label, lru, pa)
     });
     for (label, lru, pa) in pairs {
-        for (policy, r) in [("lru", &lru), ("pa-lru", &pa)] {
+        for r in [&lru, &pa] {
+            let policy = &r.policy;
             t.row([
                 label.to_owned(),
                 policy.to_owned(),
@@ -185,24 +184,22 @@ pub fn policy_zoo(params: &Params) -> ExperimentOutput {
     let trace = params.oltp_trace();
     let cfg = SimConfig::default();
     let power = cfg.power_model();
-    let pa_config = PaLruConfig {
-        epoch: params.pa_epoch(),
-        ..PaLruConfig::for_power_model(&power)
-    };
     let mut t = Table::new(["policy", "energy vs lru", "hit ratio", "mean response"]);
     let mut out = ExperimentOutput::default();
-    let specs = vec![
-        PolicySpec::Lru,
-        params.pa_policy(&power),
-        PolicySpec::Arc,
-        PolicySpec::PaArc(pa_config.clone()),
-        PolicySpec::Mq,
-        PolicySpec::PaMq(pa_config.clone()),
-        PolicySpec::Lirs,
-        PolicySpec::PaLirs(pa_config.clone()),
-        PolicySpec::TwoQ,
-        PolicySpec::PaTwoQ(pa_config),
-    ];
+    let specs = [
+        OnlinePolicy::Lru,
+        OnlinePolicy::PaLru,
+        OnlinePolicy::Arc,
+        OnlinePolicy::PaArc,
+        OnlinePolicy::Mq,
+        OnlinePolicy::PaMq,
+        OnlinePolicy::Lirs,
+        OnlinePolicy::PaLirs,
+        OnlinePolicy::TwoQ,
+        OnlinePolicy::PaTwoQ,
+    ]
+    .map(|p| params.online_policy(p, &power))
+    .to_vec();
     let reports = sweep::over(params, specs, |spec| run_replacement(&trace, spec, &cfg));
     // The first spec is plain LRU: it doubles as the normalization baseline.
     let lru = reports[0].clone();
@@ -249,18 +246,16 @@ pub fn serve_at_speed(params: &Params) -> ExperimentOutput {
         ),
     ] {
         let power = cfg.power_model();
-        for (name, spec) in [
-            ("lru", PolicySpec::Lru),
-            ("pa-lru", params.pa_policy(&power)),
-        ] {
-            points.push((label, name, spec, cfg.clone()));
+        for spec in [PolicySpec::Lru, params.pa_policy(&power)] {
+            points.push((label, spec, cfg.clone()));
         }
     }
-    let reports = sweep::over(params, points, |(label, name, spec, cfg)| {
-        (*label, *name, run_replacement(&trace, spec, cfg))
+    let reports = sweep::over(params, points, |(label, spec, cfg)| {
+        (*label, run_replacement(&trace, spec, cfg))
     });
     {
-        for (label, name, r) in reports {
+        for (label, r) in reports {
+            let name = &r.policy;
             t.row([
                 label.to_owned(),
                 name.to_owned(),
@@ -323,7 +318,8 @@ pub fn disk_type(params: &Params) -> ExperimentOutput {
         (*label, lru, pa)
     });
     for (label, lru, pa) in pairs {
-        for (policy, r) in [("lru", &lru), ("pa-lru", &pa)] {
+        for r in [&lru, &pa] {
+            let policy = &r.policy;
             t.row([
                 label.to_owned(),
                 policy.to_owned(),
@@ -375,7 +371,8 @@ pub fn layout(params: &Params) -> ExperimentOutput {
         (lay, lru, pa)
     });
     for (lay, lru, pa) in pairs {
-        for (name, r) in [("lru", &lru), ("pa-lru", &pa)] {
+        for r in [&lru, &pa] {
+            let name = &r.policy;
             t.row([
                 lay.name().to_owned(),
                 name.to_owned(),
@@ -424,24 +421,22 @@ pub fn combo(params: &Params) -> ExperimentOutput {
     ]);
     let mut out = ExperimentOutput::default();
     let mut points = Vec::new();
-    for (rname, rspec) in [
-        ("lru", PolicySpec::Lru),
-        ("pa-lru", params.pa_policy(&power)),
-    ] {
+    for rspec in [PolicySpec::Lru, params.pa_policy(&power)] {
         for wp in [
             WritePolicy::WriteThrough,
             WritePolicy::WriteBack,
             WritePolicy::Wbeu { dirty_limit: 64 },
             WritePolicy::Wtdu,
         ] {
-            points.push((rname, rspec.clone(), wp));
+            points.push((rspec.clone(), wp));
         }
     }
-    let reports = sweep::over(params, points, |(rname, rspec, wp)| {
+    let reports = sweep::over(params, points, |(rspec, wp)| {
         let r = run_write_policy(&trace, rspec, &cfg.clone().with_write_policy(*wp));
-        (*rname, *wp, r)
+        (*wp, r)
     });
-    for (rname, wp, r) in reports {
+    for (wp, r) in reports {
+        let rname = &r.policy;
         let saving = r.saving_over(&baseline);
         t.row([
             rname.to_owned(),

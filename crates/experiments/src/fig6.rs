@@ -5,6 +5,7 @@
 //! and Cello-like traces. (c): mean response time under Practical DPM,
 //! normalized to LRU.
 
+use pc_cache::policy::OnlinePolicy;
 use pc_disksim::DpmPolicy;
 use pc_sim::{PolicySpec, SimConfig, SimReport};
 use pc_units::Joules;
@@ -25,8 +26,8 @@ fn bars(params: &Params) -> Vec<(&'static str, PolicySpec, bool)> {
             },
             false,
         ),
-        ("lru", PolicySpec::Lru, false),
-        ("pa-lru", params.pa_policy(&power), false),
+        (OnlinePolicy::Lru.name(), PolicySpec::Lru, false),
+        (OnlinePolicy::PaLru.name(), params.pa_policy(&power), false),
     ]
 }
 
@@ -89,7 +90,7 @@ pub fn energy(params: &Params, kind: TraceKind) -> ExperimentOutput {
     for dpm_reports in reports.chunks(bar_count) {
         let lru_energy = dpm_reports
             .iter()
-            .find(|(n, _)| *n == "lru")
+            .find(|(n, _)| *n == OnlinePolicy::Lru.name())
             .expect("lru bar present")
             .1
             .total_energy();
@@ -162,7 +163,7 @@ pub fn response(params: &Params) -> ExperimentOutput {
     for kind_reports in reports.chunks(bar_count) {
         let lru = kind_reports
             .iter()
-            .find(|(n, _)| *n == "lru")
+            .find(|(n, _)| *n == OnlinePolicy::Lru.name())
             .expect("lru bar present")
             .1
             .mean_response()

@@ -48,7 +48,8 @@ pub fn run(params: &Params) -> ExperimentOutput {
         ("hot", hot_label.as_str(), hot),
         ("cacheable", cacheable_label.as_str(), cacheable),
     ] {
-        for (policy, report) in [("lru", &lru), ("pa-lru", &pa)] {
+        for report in [&lru, &pa] {
+            let policy = &report.policy;
             let d = &report.disks[disk.as_usize()];
             let f = d.time_fractions();
             let nap: f64 = f.per_mode[1..f.per_mode.len() - 1].iter().sum();

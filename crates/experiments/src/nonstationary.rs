@@ -15,7 +15,7 @@
 //! stays near 1) and `{scenario}_meta_vs_worst` (over the worst fixed
 //! policy's; the guard against adapting into a pathology).
 
-use pc_cache::policy::PaLruConfig;
+use pc_cache::policy::OnlinePolicy;
 use pc_sim::{OnlineStepper, PolicySpec, SimConfig, SimReport};
 use pc_trace::{NonStationaryConfig, Scenario, Trace};
 
@@ -25,24 +25,8 @@ use crate::{sweep, ExperimentOutput, Params, Table};
 /// wraps, PA epochs scaled like every other experiment.
 fn matrix(params: &Params) -> Vec<PolicySpec> {
     let power = SimConfig::default().power_model();
-    let pa_config = PaLruConfig {
-        epoch: params.pa_epoch(),
-        ..PaLruConfig::for_power_model(&power)
-    };
-    vec![
-        PolicySpec::Meta,
-        PolicySpec::Lru,
-        PolicySpec::Fifo,
-        PolicySpec::Arc,
-        PolicySpec::Mq,
-        PolicySpec::Lirs,
-        PolicySpec::TwoQ,
-        params.pa_policy(&power),
-        PolicySpec::PaArc(pa_config.clone()),
-        PolicySpec::PaMq(pa_config.clone()),
-        PolicySpec::PaLirs(pa_config.clone()),
-        PolicySpec::PaTwoQ(pa_config),
-    ]
+    let fixed = OnlinePolicy::ALL.map(|p| params.online_policy(p, &power));
+    std::iter::once(PolicySpec::Meta).chain(fixed).collect()
 }
 
 /// The scenario trace at this scale. Phase length scales with the

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use pc_cache::policy::PaLruConfig;
+use pc_cache::policy::{OnlinePolicy, PaLruConfig};
 use pc_diskmodel::PowerModel;
 use pc_sim::{PolicySpec, SimConfig, SimReport};
 use pc_trace::{CelloConfig, OltpConfig, Trace};
@@ -180,14 +180,28 @@ impl Params {
         SimDuration::from_secs_f64((900.0 * self.scale).clamp(60.0, 900.0))
     }
 
-    /// The PA-LRU policy spec at this scale: the paper's parameters with
-    /// the scaled epoch.
+    /// The paper's PA parameters against `power`, with the scaled
+    /// epoch.
     #[must_use]
-    pub fn pa_policy(&self, power: &PowerModel) -> PolicySpec {
-        PolicySpec::PaLruWith(PaLruConfig {
+    pub fn pa_config(&self, power: &PowerModel) -> PaLruConfig {
+        PaLruConfig {
             epoch: self.pa_epoch(),
             ..PaLruConfig::for_power_model(power)
-        })
+        }
+    }
+
+    /// An on-line policy spec at this scale: the PA variants run with
+    /// [`pa_config`](Self::pa_config).
+    #[must_use]
+    pub fn online_policy(&self, policy: OnlinePolicy, power: &PowerModel) -> PolicySpec {
+        let pa = policy.is_power_aware().then(|| self.pa_config(power));
+        PolicySpec::Online(policy, pa)
+    }
+
+    /// The PA-LRU policy spec at this scale.
+    #[must_use]
+    pub fn pa_policy(&self, power: &PowerModel) -> PolicySpec {
+        self.online_policy(OnlinePolicy::PaLru, power)
     }
 }
 

@@ -6,9 +6,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pc_server::{
-    online_policy, parse_slow_shard, parse_write_policy, run_in_process, run_tcp, EngineConfig,
-    LoadgenConfig, SlowShard, DEFAULT_QUEUE_BOUND,
+    parse_slow_shard, parse_write_policy, run_in_process, run_tcp, EngineConfig, LoadgenConfig,
+    SlowShard, DEFAULT_QUEUE_BOUND,
 };
+use pc_sim::PolicySpec;
 use pc_trace::Workload;
 
 const USAGE: &str = "usage: pc-loadgen [--addr HOST:PORT] \
@@ -50,7 +51,7 @@ fn parse_args() -> Result<Args, String> {
     let mut shutdown = false;
     let mut in_process = false;
     let mut shards = 8usize;
-    let mut policy = "pa-lru".to_owned();
+    let mut policy = PolicySpec::PaLru.name();
     let mut write_policy = "write-back".to_owned();
     let mut reqs = None;
     let mut shard_queue = DEFAULT_QUEUE_BOUND;
@@ -270,8 +271,12 @@ fn run_in_process_mode(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let sim = pc_sim::SimConfig::default().with_write_policy(write_policy);
-    let Some(policy) = online_policy(&args.policy, &sim) else {
-        eprintln!("unknown policy {:?}", args.policy);
+    let Some(policy) = PolicySpec::online(&args.policy) else {
+        eprintln!(
+            "unknown policy {:?}; online policies: {}",
+            args.policy,
+            PolicySpec::online_names()
+        );
         return ExitCode::FAILURE;
     };
     let mut engine = EngineConfig::new(args.shards, args.load.workload.disk_count())

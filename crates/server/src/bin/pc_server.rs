@@ -8,10 +8,8 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use pc_server::{
-    online_policy, parse_slow_shard, parse_write_policy, EngineConfig, Server, DEFAULT_QUEUE_BOUND,
-    ONLINE_POLICIES,
-};
+use pc_server::{parse_slow_shard, parse_write_policy, EngineConfig, Server, DEFAULT_QUEUE_BOUND};
+use pc_sim::PolicySpec;
 
 /// Set by the C signal handler; bridged to the server's stop flag by a
 /// watcher thread (the handler itself must stay async-signal-safe).
@@ -40,11 +38,13 @@ fn install_signal_handlers() {
     }
 }
 
-const USAGE: &str = "usage: pc-server [--addr HOST:PORT] [--shards N] [--disks N] \
+fn usage() -> String {
+    format!(
+        "usage: pc-server [--addr HOST:PORT] [--shards N] [--disks N] \
 [--policy NAME] [--write-policy NAME] [--cache-blocks N] [--prefetch N] \
 [--shard-queue N] [--slow-shard IDX:MICROS] [--io-threads N] \
 [--block-bytes N] [--corrupt-rate N] [--capture FILE.pct]\n\
-  policies: lru fifo arc mq lirs 2q pa-lru pa-arc pa-mq pa-lirs pa-2q meta\n\
+  policies: {}\n\
   (--policy meta adapts: it re-ranks the fixed policies each epoch and\n\
   switches the live one; STATS gains per-shard active_policy/switches)\n\
   write policies: write-back write-through wbeu[:limit] wtdu\n\
@@ -59,7 +59,10 @@ const USAGE: &str = "usage: pc-server [--addr HOST:PORT] [--shards N] [--disks N
   --capture records every accepted request into a binary .pct trace\n\
   file for later replay (pc-loadgen --trace); capture never blocks a\n\
   shard — when the writer falls behind, records are dropped and the\n\
-  drop count surfaces in STATS and the closing report.";
+  drop count surfaces in STATS and the closing report.",
+        PolicySpec::online_names()
+    )
+}
 
 struct Args {
     addr: String,
@@ -73,7 +76,7 @@ fn parse_args() -> Result<Args, String> {
     let mut addr = "127.0.0.1:7070".to_owned();
     let mut shards = 8usize;
     let mut disks = 21u32;
-    let mut policy_name = "pa-lru".to_owned();
+    let mut policy_name = PolicySpec::PaLru.name();
     let mut write_name = "write-back".to_owned();
     let mut cache_blocks = 4_096usize;
     let mut prefetch = 0u64;
@@ -145,8 +148,8 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--corrupt-rate: {e}"))?
             }
             "--capture" => capture = Some(value("--capture")?.into()),
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--help" | "-h" => return Err(usage()),
+            other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
     let write_policy = parse_write_policy(&write_name)
@@ -155,9 +158,10 @@ fn parse_args() -> Result<Args, String> {
         .with_cache_blocks(cache_blocks)
         .with_write_policy(write_policy)
         .with_prefetch_depth(prefetch);
-    let policy = online_policy(&policy_name, &sim).ok_or_else(|| {
+    let policy = PolicySpec::online(&policy_name).ok_or_else(|| {
         format!(
-            "unknown policy {policy_name:?}; online policies: {ONLINE_POLICIES:?} plus \"meta\""
+            "unknown policy {policy_name:?}; online policies: {}",
+            PolicySpec::online_names()
         )
     })?;
     let mut engine = EngineConfig::new(shards, disks)

@@ -10,7 +10,6 @@
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
-use pc_cache::policy::PaLruConfig;
 use pc_sim::{OnlineStepper, PolicySpec, SimConfig, StepOutcome};
 use pc_trace::{IoOp, Record, Trace};
 use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
@@ -25,42 +24,6 @@ use crate::stats::{ClusterSnapshot, ShardSnapshot};
 /// a few milliseconds of work in front of a shard while still leaving
 /// headroom for several concurrent connections.
 pub const DEFAULT_QUEUE_BOUND: usize = 4096;
-
-/// The replacement policies an online server can run: every policy in
-/// the workspace except the offline ones (Belady and OPG need the
-/// future trace).
-pub const ONLINE_POLICIES: &[&str] = &[
-    "lru", "fifo", "arc", "mq", "lirs", "2q", "pa-lru", "pa-arc", "pa-mq", "pa-lirs", "pa-2q",
-];
-
-/// Parses an online policy name into its [`PolicySpec`] for an engine
-/// simulating `sim`.
-///
-/// Every power-aware policy derives its parameters from `sim`'s power
-/// model, as `pa-lru` and the meta-policy's candidates do: the interval
-/// threshold T is the first NAP mode's break-even time.
-#[must_use]
-pub fn online_policy(name: &str, sim: &SimConfig) -> Option<PolicySpec> {
-    let pa = || PaLruConfig::for_power_model(&sim.power_model());
-    match name {
-        "lru" => Some(PolicySpec::Lru),
-        "fifo" => Some(PolicySpec::Fifo),
-        "arc" => Some(PolicySpec::Arc),
-        "mq" => Some(PolicySpec::Mq),
-        "lirs" => Some(PolicySpec::Lirs),
-        "2q" => Some(PolicySpec::TwoQ),
-        "pa-lru" => Some(PolicySpec::PaLru),
-        "pa-arc" => Some(PolicySpec::PaArc(pa())),
-        "pa-mq" => Some(PolicySpec::PaMq(pa())),
-        "pa-lirs" => Some(PolicySpec::PaLirs(pa())),
-        "pa-2q" => Some(PolicySpec::PaTwoQ(pa())),
-        // The adaptive meta-policy wraps the 11 fixed policies above; it
-        // stays out of ONLINE_POLICIES so fixed-policy sweeps don't
-        // recurse into it.
-        "meta" => Some(PolicySpec::Meta),
-        _ => None,
-    }
-}
 
 /// Parses a write-policy name: `write-back`, `write-through`, `wtdu`,
 /// or `wbeu[:dirty_limit]` (default limit 64).
@@ -251,7 +214,7 @@ impl EngineConfig {
     #[must_use]
     pub fn build_policy(&self) -> Box<dyn pc_cache::ReplacementPolicy> {
         assert!(
-            !matches!(self.policy, PolicySpec::Belady | PolicySpec::Opg { .. }),
+            !self.policy.needs_future(),
             "offline policies (belady/opg) cannot serve an online cluster"
         );
         let power = self.sim.power_model();
@@ -595,6 +558,7 @@ impl InProcCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pc_cache::policy::OnlinePolicy;
     use pc_trace::Workload;
     use pc_units::Joules;
 
@@ -613,49 +577,24 @@ mod tests {
 
     #[test]
     fn every_online_policy_builds_a_shard() {
-        let sim = SimConfig::default();
-        for name in ONLINE_POLICIES {
-            let spec = online_policy(name, &sim).unwrap();
+        for policy in OnlinePolicy::ALL {
+            let name = policy.name();
+            let spec = PolicySpec::online(name).unwrap();
             let cfg = EngineConfig::new(2, 4).with_policy(spec);
             let mut shard = ShardEngine::new(0, &cfg);
             let out = shard.ingest(SimTime::from_millis(1), 0, 7, 1, false);
             assert!(!out.hit, "{name}: first access must miss");
+            assert!(shard.snapshot().meta.is_none(), "{name}: no meta gauges");
         }
-        assert_eq!(ONLINE_POLICIES.len(), 11);
-        assert!(online_policy("belady", &sim).is_none());
-    }
-
-    #[test]
-    fn power_aware_policies_take_their_threshold_from_the_power_model() {
-        // T is the first NAP mode's break-even time (10.678 s for the
-        // default multi-speed Ultrastar), never a placeholder.
-        for sim in [
-            SimConfig::default(),
-            SimConfig::default().with_two_mode_disks(),
-        ] {
-            let power = sim.power_model();
-            let want = power.break_even(pc_diskmodel::ModeId::new(1));
-            for name in ONLINE_POLICIES.iter().filter(|n| n.starts_with("pa-")) {
-                let threshold = match online_policy(name, &sim).unwrap() {
-                    // PA-LRU derives its config from the model in `build`.
-                    PolicySpec::PaLru => PaLruConfig::for_power_model(&power).interval_threshold,
-                    PolicySpec::PaArc(cfg)
-                    | PolicySpec::PaMq(cfg)
-                    | PolicySpec::PaLirs(cfg)
-                    | PolicySpec::PaTwoQ(cfg) => cfg.interval_threshold,
-                    other => panic!("{name} parsed to {other:?}"),
-                };
-                assert_eq!(threshold, want, "{name}");
-            }
-        }
+        assert!(PolicySpec::online("belady").is_none());
     }
 
     #[test]
     fn meta_policy_builds_a_shard_and_reports_gauges() {
-        let spec = online_policy("meta", &SimConfig::default()).unwrap();
+        let spec = PolicySpec::online("meta").unwrap();
         assert_eq!(spec.name(), "meta");
         assert!(
-            !ONLINE_POLICIES.contains(&"meta"),
+            OnlinePolicy::from_name("meta").is_none(),
             "fixed-policy sweeps must not recurse into the meta-policy"
         );
         let cfg = EngineConfig::new(2, 4).with_policy(spec);
@@ -665,9 +604,6 @@ mod tests {
         let meta = shard.snapshot().meta.expect("meta shard carries gauges");
         assert_eq!(meta.active, "lru", "meta starts on its first candidate");
         assert_eq!(meta.switches, 0);
-        // A fixed-policy shard must not grow the gauges.
-        let fixed = ShardEngine::new(0, &EngineConfig::new(2, 4));
-        assert!(fixed.snapshot().meta.is_none());
         // into_snapshot keeps the gauges across the book-closing move.
         assert!(shard.into_snapshot().meta.is_some());
     }

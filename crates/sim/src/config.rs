@@ -1,9 +1,6 @@
 //! Simulation configuration and policy construction.
 
-use pc_cache::policy::{
-    ArcPolicy, Belady, Fifo, Lirs, Lru, MetaConfig, MetaPolicy, Mq, Opg, OpgDpm, Pa, PaLru,
-    PaLruConfig, TwoQ,
-};
+use pc_cache::policy::{Belady, MetaConfig, MetaPolicy, OnlinePolicy, Opg, OpgDpm, PaLruConfig};
 use pc_cache::{ReplacementPolicy, WritePolicy};
 use pc_diskmodel::{DiskPowerSpec, PowerModel, ServiceModel};
 use pc_disksim::DpmPolicy;
@@ -14,10 +11,11 @@ use pc_units::{Joules, SimDuration};
 /// off-line policies need the future).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicySpec {
-    /// Least-recently-used (the paper's baseline).
-    Lru,
-    /// First-in-first-out.
-    Fifo,
+    /// One of the on-line policies in the [`OnlinePolicy`] table, with an
+    /// optional PA override (ablations, scaled epochs). `None` runs the
+    /// paper's PA settings for the configured power model; policies that
+    /// are not power-aware ignore the override.
+    Online(OnlinePolicy, Option<PaLruConfig>),
     /// Belady's off-line MIN.
     Belady,
     /// The off-line power-aware greedy algorithm, priced against the
@@ -26,36 +24,40 @@ pub enum PolicySpec {
         /// Penalty rounding threshold (0 = pure OPG, huge = Belady).
         epsilon: Joules,
     },
-    /// The on-line power-aware LRU with the paper's parameters (T derived
-    /// from the power model's first NAP break-even time).
-    PaLru,
-    /// PA-LRU with explicit parameters (ablations).
-    PaLruWith(PaLruConfig),
-    /// ARC (Megiddo & Modha) sized to the cache capacity.
-    Arc,
-    /// The Multi-Queue policy (Zhou, Philbin & Li) sized to the cache
-    /// capacity.
-    Mq,
-    /// LIRS (Jiang & Zhang) sized to the cache capacity.
-    Lirs,
-    /// 2Q (Johnson & Shasha) sized to the cache capacity.
-    TwoQ,
-    /// The generic PA wrapper around ARC (paper §4's claimed
-    /// composability).
-    PaArc(PaLruConfig),
-    /// The generic PA wrapper around MQ.
-    PaMq(PaLruConfig),
-    /// The generic PA wrapper around LIRS.
-    PaLirs(PaLruConfig),
-    /// The generic PA wrapper around 2Q.
-    PaTwoQ(PaLruConfig),
     /// The adaptive meta-policy: epoch-based online selection among the
     /// 11 online policies (hit ratio, cold-miss fraction and miss-gap
     /// distribution drive an AWRP-style weight ranking).
     Meta,
 }
 
+#[allow(non_upper_case_globals)]
 impl PolicySpec {
+    /// Least-recently-used (the paper's baseline).
+    pub const Lru: PolicySpec = PolicySpec::Online(OnlinePolicy::Lru, None);
+    /// The on-line power-aware LRU with the paper's parameters.
+    pub const PaLru: PolicySpec = PolicySpec::Online(OnlinePolicy::PaLru, None);
+}
+
+impl PolicySpec {
+    /// Parses an on-line policy name: any [`OnlinePolicy`] name, with the
+    /// paper's PA settings, or `meta`.
+    #[must_use]
+    pub fn online(name: &str) -> Option<PolicySpec> {
+        if name == "meta" {
+            return Some(PolicySpec::Meta);
+        }
+        OnlinePolicy::from_name(name).map(|p| PolicySpec::Online(p, None))
+    }
+
+    /// Every name [`PolicySpec::online`] accepts, space-separated: the
+    /// table's 11, then `meta`.
+    #[must_use]
+    pub fn online_names() -> String {
+        let mut names = OnlinePolicy::ALL.map(OnlinePolicy::name).to_vec();
+        names.push("meta");
+        names.join(" ")
+    }
+
     /// Whether [`PolicySpec::build`] consumes the trace's future
     /// (off-line policies: Belady and OPG). Streaming entry points like
     /// [`run_replacement_stream`](crate::run_replacement_stream) only
@@ -70,20 +72,21 @@ impl PolicySpec {
     #[must_use]
     pub fn name(&self) -> String {
         match self {
-            PolicySpec::Lru => "lru".into(),
-            PolicySpec::Fifo => "fifo".into(),
+            PolicySpec::Online(p, _) => p.name().into(),
             PolicySpec::Belady => "belady".into(),
             PolicySpec::Opg { epsilon } => format!("opg(eps={})", epsilon.as_joules()),
-            PolicySpec::PaLru | PolicySpec::PaLruWith(_) => "pa-lru".into(),
-            PolicySpec::Arc => "arc".into(),
-            PolicySpec::Mq => "mq".into(),
-            PolicySpec::Lirs => "lirs".into(),
-            PolicySpec::TwoQ => "2q".into(),
-            PolicySpec::PaArc(_) => "pa-arc".into(),
-            PolicySpec::PaMq(_) => "pa-mq".into(),
-            PolicySpec::PaLirs(_) => "pa-lirs".into(),
-            PolicySpec::PaTwoQ(_) => "pa-2q".into(),
             PolicySpec::Meta => "meta".into(),
+        }
+    }
+
+    /// The PA parameters an on-line policy runs with under `power`: the
+    /// override if there is one, else the paper's settings (T = the
+    /// first NAP mode's break-even time). The one place a `None`
+    /// override is resolved.
+    fn pa_config(&self, power: &PowerModel) -> PaLruConfig {
+        match self {
+            PolicySpec::Online(_, Some(pa)) => pa.clone(),
+            _ => PaLruConfig::for_power_model(power),
         }
     }
 
@@ -97,13 +100,8 @@ impl PolicySpec {
         dpm: DpmPolicy,
         capacity: usize,
     ) -> Box<dyn ReplacementPolicy> {
-        // ARC/MQ size their ghosts against the capacity; clamp the
-        // infinite-cache sentinel to something arithmetic-safe (ghosts
-        // are irrelevant without evictions).
-        let sized = capacity.min(1 << 30);
         match self {
-            PolicySpec::Lru => Box::new(Lru::new()),
-            PolicySpec::Fifo => Box::new(Fifo::new()),
+            PolicySpec::Online(p, _) => p.build(capacity, &self.pa_config(power)),
             PolicySpec::Belady => Box::new(Belady::new(trace)),
             PolicySpec::Opg { epsilon } => {
                 let pricing = match dpm {
@@ -112,27 +110,10 @@ impl PolicySpec {
                 };
                 Box::new(Opg::new(trace, power.clone(), pricing, *epsilon))
             }
-            PolicySpec::PaLru => Box::new(PaLru::new(PaLruConfig::for_power_model(power))),
-            PolicySpec::PaLruWith(cfg) => Box::new(PaLru::new(cfg.clone())),
-            PolicySpec::Arc => Box::new(ArcPolicy::new(sized)),
-            PolicySpec::Mq => Box::new(Mq::new(sized)),
-            PolicySpec::PaArc(cfg) => Box::new(Pa::new(
-                cfg.clone(),
-                ArcPolicy::new(sized),
-                ArcPolicy::new(sized),
-            )),
-            PolicySpec::PaMq(cfg) => Box::new(Pa::new(cfg.clone(), Mq::new(sized), Mq::new(sized))),
-            PolicySpec::Lirs => Box::new(Lirs::new(sized)),
-            PolicySpec::TwoQ => Box::new(TwoQ::new(sized)),
-            PolicySpec::PaLirs(cfg) => {
-                Box::new(Pa::new(cfg.clone(), Lirs::new(sized), Lirs::new(sized)))
-            }
-            PolicySpec::PaTwoQ(cfg) => {
-                Box::new(Pa::new(cfg.clone(), TwoQ::new(sized), TwoQ::new(sized)))
-            }
-            PolicySpec::Meta => {
-                Box::new(MetaPolicy::new(MetaConfig::for_power_model(power, sized)))
-            }
+            PolicySpec::Meta => Box::new(MetaPolicy::new(MetaConfig::new(
+                capacity,
+                self.pa_config(power),
+            ))),
         }
     }
 }
@@ -281,22 +262,41 @@ mod tests {
         let trace = OltpConfig::default().with_requests(100).generate(0);
         let config = SimConfig::default();
         let power = config.power_model();
-        for spec in [
-            PolicySpec::Lru,
-            PolicySpec::Fifo,
+        let others = [
             PolicySpec::Belady,
-            PolicySpec::Arc,
-            PolicySpec::Mq,
-            PolicySpec::PaArc(PaLruConfig::default()),
-            PolicySpec::PaMq(PaLruConfig::default()),
             PolicySpec::Opg {
                 epsilon: Joules::ZERO,
             },
-            PolicySpec::PaLru,
-        ] {
+            PolicySpec::Meta,
+        ];
+        let online = OnlinePolicy::ALL.map(|p| PolicySpec::Online(p, None));
+        for spec in others.into_iter().chain(online) {
             let p = spec.build(&trace, &power, DpmPolicy::Practical, 1024);
             assert!(!p.name().is_empty());
             assert!(!spec.name().is_empty());
+        }
+        assert_eq!(PolicySpec::online("pa-lru"), Some(PolicySpec::PaLru));
+    }
+
+    #[test]
+    fn power_aware_policies_take_their_threshold_from_the_power_model() {
+        // T is the first NAP mode's break-even time (10.678 s for the
+        // default multi-speed Ultrastar), never the placeholder default.
+        for config in [
+            SimConfig::default(),
+            SimConfig::default().with_two_mode_disks(),
+        ] {
+            let power = config.power_model();
+            let want = power.break_even(pc_diskmodel::ModeId::new(1));
+            assert_ne!(want, PaLruConfig::default().interval_threshold);
+            let pa_names = OnlinePolicy::ALL
+                .into_iter()
+                .filter(|p| p.is_power_aware())
+                .map(OnlinePolicy::name);
+            for name in pa_names.chain(["meta"]) {
+                let spec = PolicySpec::online(name).unwrap();
+                assert_eq!(spec.pa_config(&power).interval_threshold, want, "{name}");
+            }
         }
     }
 

@@ -22,7 +22,7 @@ use crate::{PolicySpec, SimConfig, SimReport};
 /// DESIGN.md §2.
 #[must_use]
 pub fn run_replacement(trace: &Trace, policy: &PolicySpec, config: &SimConfig) -> SimReport {
-    run(trace, policy, config)
+    run(trace, trace, policy, config)
 }
 
 /// Runs a write-policy experiment (paper §6, Figure 9) under a causal DPM
@@ -37,19 +37,23 @@ pub fn run_write_policy(trace: &Trace, policy: &PolicySpec, config: &SimConfig) 
         config.dpm != DpmPolicy::Oracle,
         "write-policy experiments need a causal DPM (the cache reads live disk state)"
     );
-    run(trace, policy, config)
+    run(trace, trace, policy, config)
 }
 
-/// The single simulation loop both entry points share: build the policy
-/// for the trace, then drive an [`OnlineStepper`] over it record by
-/// record.
-fn run(trace: &Trace, policy: &PolicySpec, config: &SimConfig) -> SimReport {
+/// The single simulation loop every entry point shares: build the
+/// policy for `trace` (on-line policies ignore it), then drive an
+/// [`OnlineStepper`] over `records` one by one and stamp the wall time.
+fn run<R, I>(trace: &Trace, records: I, policy: &PolicySpec, config: &SimConfig) -> SimReport
+where
+    R: std::borrow::Borrow<Record>,
+    I: IntoIterator<Item = R>,
+{
     let wall_start = std::time::Instant::now();
     let power = config.power_model();
     let built = policy.build(trace, &power, config.dpm, config.cache_blocks);
     let mut stepper = OnlineStepper::new(trace.disk_count(), built, config);
-    for record in trace {
-        stepper.step(record);
+    for record in records {
+        stepper.step(record.borrow());
     }
     let mut report = stepper.into_report();
     report.timing = crate::RunTiming::from_wall(wall_start.elapsed(), report.requests);
@@ -87,23 +91,9 @@ where
         "off-line policy {} needs the whole trace; use run_replacement",
         policy.name()
     );
-    let wall_start = std::time::Instant::now();
-    let power = config.power_model();
     // On-line policies ignore the trace argument, so an empty one builds
     // the identical policy instance.
-    let built = policy.build(
-        &Trace::new(disk_count),
-        &power,
-        config.dpm,
-        config.cache_blocks,
-    );
-    let mut stepper = OnlineStepper::new(disk_count, built, config);
-    for record in records {
-        stepper.step(&record);
-    }
-    let mut report = stepper.into_report();
-    report.timing = crate::RunTiming::from_wall(wall_start.elapsed(), report.requests);
-    report
+    run(&Trace::new(disk_count), records, policy, config)
 }
 
 /// The outcome of one online request step.
@@ -547,7 +537,11 @@ mod tests {
         let t = oltp(4_000);
         let cfg = SimConfig::default();
         let belady = run_replacement(&t, &PolicySpec::Belady, &cfg);
-        for policy in [PolicySpec::Lru, PolicySpec::Fifo, PolicySpec::PaLru] {
+        for policy in [
+            PolicySpec::Lru,
+            PolicySpec::online("fifo").unwrap(),
+            PolicySpec::PaLru,
+        ] {
             let r = run_replacement(&t, &policy, &cfg);
             assert!(
                 belady.cache.misses() <= r.cache.misses(),

@@ -140,18 +140,6 @@ pub struct RecordStream {
     inner: StreamInner,
 }
 
-impl RecordStream {
-    /// Streams pre-materialized records — the adapter file-backed sources
-    /// (e.g. replayed binary trace files) use to feed consumers of the
-    /// generator streams.
-    #[must_use]
-    pub fn from_records(records: Vec<Record>) -> RecordStream {
-        RecordStream {
-            inner: StreamInner::Eager(records.into_iter()),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum StreamInner {
     Synthetic(SyntheticStream),
@@ -214,14 +202,6 @@ mod tests {
         // Unbounded streams still yield on demand.
         let unbounded = Workload::Cello(cfg).with_requests(usize::MAX);
         assert_eq!(unbounded.stream(1).take(10).count(), 10);
-    }
-
-    #[test]
-    fn from_records_streams_verbatim() {
-        let w = Workload::parse("synthetic").unwrap().with_requests(50);
-        let records: Vec<Record> = w.stream(9).collect();
-        let replayed: Vec<Record> = RecordStream::from_records(records.clone()).collect();
-        assert_eq!(replayed, records);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! cargo run --release --example oltp_energy
 //! ```
 
+use pc_cache::policy::OnlinePolicy;
 use pc_disksim::DpmPolicy;
 use pc_sim::{run_replacement, PolicySpec, SimConfig};
 use pc_trace::OltpConfig;
@@ -30,8 +31,8 @@ fn main() {
             },
             false,
         ),
-        ("lru", PolicySpec::Lru, false),
-        ("pa-lru", PolicySpec::PaLru, false),
+        (OnlinePolicy::Lru.name(), PolicySpec::Lru, false),
+        (OnlinePolicy::PaLru.name(), PolicySpec::PaLru, false),
     ];
     let lru_o = run_replacement(&trace, &PolicySpec::Lru, &oracle);
     let lru_p = run_replacement(&trace, &PolicySpec::Lru, &practical);
@@ -54,9 +55,9 @@ fn main() {
             ro.energy_ratio(&lru_o),
             rp.energy_ratio(&lru_p)
         );
-        if name == "pa-lru" {
+        if name == OnlinePolicy::PaLru.name() {
             pa_report = Some(rp);
-        } else if name == "lru" {
+        } else if name == OnlinePolicy::Lru.name() {
             lru_report = Some(rp);
         }
     }
@@ -75,7 +76,8 @@ fn main() {
         ("hot disk 4", DiskId::new(4)),
         ("cacheable disk 14", DiskId::new(14)),
     ] {
-        for (policy, report) in [("lru", &lru), ("pa-lru", &pa)] {
+        for report in [&lru, &pa] {
+            let policy = &report.policy;
             let d = &report.disks[disk.as_usize()];
             let f = d.time_fractions();
             println!(

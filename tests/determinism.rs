@@ -45,7 +45,7 @@ fn sweep_results_are_identical_for_any_job_count() {
     let specs = vec![
         PolicySpec::Lru,
         PolicySpec::PaLru,
-        PolicySpec::Fifo,
+        PolicySpec::online("fifo").unwrap(),
         PolicySpec::Belady,
     ];
     let reports_at = |jobs: usize| {

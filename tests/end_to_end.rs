@@ -11,7 +11,7 @@ use pc_units::{Joules, SimDuration, SimTime};
 fn policies() -> Vec<PolicySpec> {
     vec![
         PolicySpec::Lru,
-        PolicySpec::Fifo,
+        PolicySpec::online("fifo").unwrap(),
         PolicySpec::Belady,
         PolicySpec::Opg {
             epsilon: Joules::ZERO,

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pc_cache::policy::{Belady, Fifo, Lru, Opg, OpgDpm, PaLru, PaLruConfig};
+use pc_cache::policy::{Belady, Lru, OnlinePolicy, Opg, OpgDpm, PaLru, PaLruConfig};
 use pc_cache::wtdu::LogSpace;
 use pc_cache::{
     BlockCache, BlockTable, BloomFilter, IntervalHistogram, ReplacementPolicy, WritePolicy,
@@ -96,23 +96,13 @@ fn belady_is_miss_minimal() {
         let trace = gen_trace(&mut rng, 120);
         let capacity = rng.gen_range(1..12usize);
         let belady = misses(&trace, capacity, Box::new(Belady::new(&trace)));
-        assert!(
-            belady <= misses(&trace, capacity, Box::new(Lru::new())),
-            "seed {seed}"
-        );
-        assert!(
-            belady <= misses(&trace, capacity, Box::new(Fifo::new())),
-            "seed {seed}"
-        );
-        assert!(
-            belady
-                <= misses(
-                    &trace,
-                    capacity,
-                    Box::new(PaLru::new(PaLruConfig::default()))
-                ),
-            "seed {seed}"
-        );
+        for p in OnlinePolicy::ALL {
+            let online = p.build(capacity, &PaLruConfig::default());
+            assert!(
+                belady <= misses(&trace, capacity, online),
+                "seed {seed} {p:?}"
+            );
+        }
     }
 }
 
@@ -142,22 +132,20 @@ fn opg_indexed_matches_naive() {
     }
 }
 
-/// The cache never exceeds capacity and never evicts on hits, for
-/// every policy.
+/// The cache never exceeds capacity, never evicts on hits and never
+/// evicts the incoming block, for every policy.
 #[test]
 fn capacity_invariant_for_all_policies() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = gen_trace(&mut rng, 100);
         let capacity = rng.gen_range(1..10usize);
-        let policies: Vec<Box<dyn ReplacementPolicy>> = vec![
-            Box::new(Lru::new()),
-            Box::new(Fifo::new()),
+        let offline: [Box<dyn ReplacementPolicy>; 2] = [
             Box::new(Belady::new(&trace)),
             Box::new(Opg::new(&trace, power(), OpgDpm::Practical, Joules::ZERO)),
-            Box::new(PaLru::new(PaLruConfig::default())),
         ];
-        for policy in policies {
+        let online = OnlinePolicy::ALL.map(|p| p.build(capacity, &PaLruConfig::default()));
+        for policy in offline.into_iter().chain(online) {
             let mut cache = BlockCache::new(capacity, policy, WritePolicy::WriteBack);
             let mut fx = Vec::new();
             for r in &trace {
