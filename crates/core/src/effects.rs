@@ -28,6 +28,10 @@ pub enum WritePolicy {
 }
 
 impl WritePolicy {
+    /// Every name [`parse`](WritePolicy::parse) accepts, for usage text
+    /// (`wb` and `wt` are short for the first two).
+    pub const NAMES: &'static str = "write-back write-through wbeu[:limit] wtdu";
+
     /// Short lowercase name for reports.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -36,6 +40,31 @@ impl WritePolicy {
             WritePolicy::WriteBack => "write-back",
             WritePolicy::Wbeu { .. } => "wbeu",
             WritePolicy::Wtdu => "wtdu",
+        }
+    }
+
+    /// Parses a write-policy name: a [`name`](WritePolicy::name), `wb`,
+    /// `wt`, or `wbeu:LIMIT` (plain `wbeu` has a dirty limit of 64).
+    ///
+    /// # Errors
+    ///
+    /// An unknown name; the message lists the valid ones.
+    pub fn parse(name: &str) -> Result<WritePolicy, String> {
+        match name {
+            "write-back" | "wb" => Ok(WritePolicy::WriteBack),
+            "write-through" | "wt" => Ok(WritePolicy::WriteThrough),
+            "wtdu" => Ok(WritePolicy::Wtdu),
+            "wbeu" => Ok(WritePolicy::Wbeu { dirty_limit: 64 }),
+            _ => name
+                .strip_prefix("wbeu:")
+                .and_then(|n| n.parse().ok())
+                .map(|dirty_limit| WritePolicy::Wbeu { dirty_limit })
+                .ok_or_else(|| {
+                    format!(
+                        "unknown write policy {name:?}; write policies: {}",
+                        Self::NAMES
+                    )
+                }),
         }
     }
 }
@@ -94,6 +123,30 @@ pub struct AccessResult {
 mod tests {
     use super::*;
     use pc_units::{BlockNo, DiskId};
+
+    #[test]
+    fn write_policy_names_round_trip() {
+        for p in [
+            WritePolicy::WriteThrough,
+            WritePolicy::WriteBack,
+            WritePolicy::Wtdu,
+            WritePolicy::Wbeu { dirty_limit: 64 },
+        ] {
+            assert_eq!(WritePolicy::parse(p.name()), Ok(p));
+        }
+        assert_eq!(
+            WritePolicy::parse("wbeu:8"),
+            Ok(WritePolicy::Wbeu { dirty_limit: 8 })
+        );
+        assert_eq!(WritePolicy::parse("wb"), Ok(WritePolicy::WriteBack));
+        assert_eq!(WritePolicy::parse("wt"), Ok(WritePolicy::WriteThrough));
+        for bad in ["nope", "wbeu:", "wbeu:x", "WB"] {
+            let err = WritePolicy::parse(bad).unwrap_err();
+            for name in ["write-back", "write-through", "wbeu", "wtdu"] {
+                assert!(err.contains(name), "{bad}: {err}");
+            }
+        }
+    }
 
     #[test]
     fn effect_block_extraction() {

@@ -34,89 +34,90 @@
 //! materializes a record vector.
 
 use std::env;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use pc_experiments::{ablations, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9};
-use pc_experiments::{nonstationary, surgery, table1, table2, table3, Params, TraceKind};
+use pc_experiments::{ablations, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, traceio};
+use pc_experiments::{nonstationary, surgery, table1, table2, table3};
+use pc_experiments::{ExperimentOutput, Params, TraceKind};
+use pc_sim::cli::Flags;
+use pc_trace::{IoOp, Scenario, Workload};
+use pc_units::SimTime;
 
-const EXPERIMENTS: [&str; 26] = [
-    "table1",
-    "table2",
-    "table3",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "fig6c",
-    "fig7",
-    "fig8",
-    "fig9-ratio",
-    "fig9-gap",
-    "ablation-eps",
-    "ablation-pa",
-    "ablation-modes",
-    "ablation-policies",
-    "ablation-wbeu",
-    "ablation-prefetch",
-    "ablation-scheduler",
-    "ablation-combo",
-    "ablation-layout",
-    "ablation-disktype",
-    "ablation-serve-at-speed",
-    "nonstationary",
+/// An experiment driver; only `nonstationary` reads the scenario.
+type Experiment = fn(&Params, Option<Scenario>) -> ExperimentOutput;
+
+/// Every experiment, in the order `repro all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 26] = [
+    ("table1", |p, _| table1::run(p)),
+    ("table2", |p, _| table2::run(p)),
+    ("table3", |_, _| table3::run()),
+    ("fig2", |p, _| fig2::run(p)),
+    ("fig3", |_, _| fig3::run()),
+    ("fig4", |p, _| fig4::run(p)),
+    ("fig5", |p, _| fig5::run(p)),
+    ("fig6a", |p, _| fig6::energy(p, TraceKind::Oltp)),
+    ("fig6b", |p, _| fig6::energy(p, TraceKind::Cello)),
+    ("fig6c", |p, _| fig6::response(p)),
+    ("fig7", |p, _| fig7::run(p)),
+    ("fig8", |p, _| fig8::run(p)),
+    ("fig9-ratio", |p, _| fig9::by_write_ratio(p)),
+    ("fig9-gap", |p, _| fig9::by_interarrival(p)),
+    ("ablation-eps", |p, _| ablations::epsilon_sweep(p)),
+    ("ablation-pa", |p, _| ablations::pa_sensitivity(p)),
+    ("ablation-modes", |p, _| ablations::mode_count(p)),
+    ("ablation-policies", |p, _| ablations::policy_zoo(p)),
+    ("ablation-wbeu", |p, _| ablations::wbeu_dirty_limit(p)),
+    ("ablation-prefetch", |p, _| ablations::prefetch_depth(p)),
+    ("ablation-scheduler", |p, _| ablations::scheduler(p)),
+    ("ablation-combo", |p, _| ablations::combo(p)),
+    ("ablation-layout", |p, _| ablations::layout(p)),
+    ("ablation-disktype", |p, _| ablations::disk_type(p)),
+    ("ablation-serve-at-speed", |p, _| {
+        ablations::serve_at_speed(p)
+    }),
+    ("nonstationary", nonstationary::run),
 ];
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace") {
-        return run_trace(&args[1..]);
+        return match run_trace(&args[1..]) {
+            Ok(code) => code,
+            Err(error) => trace_usage(&error),
+        };
     }
+    match run(args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(error) => usage(&error),
+    }
+}
+
+/// `repro <experiment|all> [flags]`. `Err` is a usage error; the empty
+/// one asks for the usage text (`--help`).
+fn run(args: Vec<String>) -> Result<(), String> {
     let mut which = None;
     let mut params = Params::paper();
-    let mut jobs_flag = None;
+    let mut jobs = None;
     let mut workload = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--scale" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => params.scale = s,
-                _ => return usage("--scale needs a positive number"),
-            },
-            "--seed" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => params.seed = s,
-                None => return usage("--seed needs an integer"),
-            },
-            "--jobs" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => jobs_flag = Some(n),
-                None => return usage("--jobs needs a worker count (0 = one per core)"),
-            },
-            "--trace" => match iter.next() {
-                Some(path) => params.trace_file = Some(path.into()),
-                None => return usage("--trace needs a .pct file path"),
-            },
-            "--workload" => match iter.next() {
-                Some(name) => workload = Some(name.clone()),
-                None => return usage("--workload needs a workload name"),
-            },
-            "--help" | "-h" => return usage(""),
+            "--scale" => params.scale = flags.positive(&arg)?,
+            "--seed" => params.seed = flags.value(&arg)?,
+            "--jobs" => jobs = Some(flags.value(&arg)?),
+            "--trace" => params.trace_file = Some(flags.string(&arg)?.into()),
+            "--workload" => workload = Some(flags.string(&arg)?),
+            "--help" | "-h" => return Err(String::new()),
             name if which.is_none() => which = Some(name.to_owned()),
-            other => return usage(&format!("unexpected argument: {other}")),
+            other => return Err(format!("unexpected argument: {other}")),
         }
     }
     // The flag wins; REPRO_JOBS covers scripted runs that can't pass one.
-    match jobs_flag {
-        Some(n) => params.jobs = n,
-        None => {
-            if let Some(n) = env::var("REPRO_JOBS").ok().and_then(|v| v.parse().ok()) {
-                params.jobs = n;
-            }
-        }
-    }
-    let Some(which) = which else {
-        return usage("missing experiment name");
-    };
+    params.jobs = jobs
+        .or_else(|| env::var("REPRO_JOBS").ok()?.parse().ok())
+        .unwrap_or(params.jobs);
+    let which = which.ok_or("missing experiment name")?;
 
     // `--workload nonstationary:NAME` narrows the nonstationary matrix
     // to one scenario; no other experiment takes a workload override.
@@ -124,62 +125,31 @@ fn main() -> ExitCode {
         None => None,
         Some(w) if which == "nonstationary" => {
             let name = w.strip_prefix("nonstationary:").unwrap_or(w);
-            match pc_trace::Scenario::parse(name) {
-                Some(s) => Some(s),
-                None => {
-                    return usage(&format!(
-                        "unknown non-stationary workload: {w} (diurnal, flash-crowd, churn, phase-change)"
-                    ))
-                }
-            }
+            Some(Scenario::parse(name).ok_or_else(|| {
+                format!(
+                    "unknown non-stationary workload: {w} (diurnal, flash-crowd, churn, phase-change)"
+                )
+            })?)
         }
-        Some(_) => return usage("--workload only applies to the nonstationary experiment"),
+        Some(_) => return Err("--workload only applies to the nonstationary experiment".into()),
     };
     if which == "all" {
-        for name in EXPERIMENTS {
-            run_one(name, &params, None);
+        for (name, experiment) in EXPERIMENTS {
+            run_one(name, experiment, &params, None);
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    if EXPERIMENTS.contains(&which.as_str()) {
-        run_one(&which, &params, scenario);
-        ExitCode::SUCCESS
-    } else {
-        usage(&format!("unknown experiment: {which}"))
-    }
+    let (name, experiment) = EXPERIMENTS
+        .into_iter()
+        .find(|(name, _)| *name == which)
+        .ok_or_else(|| format!("unknown experiment: {which}"))?;
+    run_one(name, experiment, &params, scenario);
+    Ok(())
 }
 
-fn run_one(name: &str, params: &Params, scenario: Option<pc_trace::Scenario>) {
+fn run_one(name: &str, experiment: Experiment, params: &Params, scenario: Option<Scenario>) {
     let started = std::time::Instant::now();
-    let output = match name {
-        "table1" => table1::run(params),
-        "table2" => table2::run(params),
-        "table3" => table3::run(),
-        "fig2" => fig2::run(params),
-        "fig3" => fig3::run(),
-        "fig4" => fig4::run(params),
-        "fig5" => fig5::run(params),
-        "fig6a" => fig6::energy(params, TraceKind::Oltp),
-        "fig6b" => fig6::energy(params, TraceKind::Cello),
-        "fig6c" => fig6::response(params),
-        "fig7" => fig7::run(params),
-        "fig8" => fig8::run(params),
-        "fig9-ratio" => fig9::by_write_ratio(params),
-        "fig9-gap" => fig9::by_interarrival(params),
-        "ablation-eps" => ablations::epsilon_sweep(params),
-        "ablation-pa" => ablations::pa_sensitivity(params),
-        "ablation-modes" => ablations::mode_count(params),
-        "ablation-policies" => ablations::policy_zoo(params),
-        "ablation-wbeu" => ablations::wbeu_dirty_limit(params),
-        "ablation-prefetch" => ablations::prefetch_depth(params),
-        "ablation-scheduler" => ablations::scheduler(params),
-        "ablation-combo" => ablations::combo(params),
-        "ablation-layout" => ablations::layout(params),
-        "ablation-disktype" => ablations::disk_type(params),
-        "ablation-serve-at-speed" => ablations::serve_at_speed(params),
-        "nonstationary" => nonstationary::run(params, scenario),
-        other => unreachable!("validated experiment name: {other}"),
-    };
+    let output = experiment(params, scenario);
     println!("{}", output.text);
     println!("[{name} done in {:.1?}]\n", started.elapsed());
 }
@@ -187,66 +157,15 @@ fn run_one(name: &str, params: &Params, scenario: Option<pc_trace::Scenario>) {
 /// `repro trace export|info|filter|slice|merge|rescale`: serialize a
 /// workload generator to a binary `.pct` file, validate one and print
 /// its summary, or rewrite files with the streaming surgery operators.
-fn run_trace(args: &[String]) -> ExitCode {
+/// `Err` is a usage error; failed I/O is reported here and exits 1.
+fn run_trace(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
-        Some("export") => {
-            let mut workload = None;
-            let mut out = None;
-            let mut requests = None;
-            let mut seed = 42u64;
-            let mut iter = args[1..].iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--workload" => match iter.next().map(|v| pc_trace::Workload::parse(v)) {
-                        Some(Some(w)) => workload = Some(w),
-                        _ => return trace_usage(
-                            "--workload needs synthetic, oltp, cello96, or nonstationary:SCENARIO",
-                        ),
-                    },
-                    "--out" => match iter.next() {
-                        Some(path) => out = Some(std::path::PathBuf::from(path)),
-                        None => return trace_usage("--out needs a file path"),
-                    },
-                    "--requests" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                        Some(n) if n > 0 => requests = Some(n),
-                        _ => return trace_usage("--requests needs a positive count"),
-                    },
-                    "--seed" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                        Some(s) => seed = s,
-                        None => return trace_usage("--seed needs an integer"),
-                    },
-                    other => return trace_usage(&format!("unexpected argument: {other}")),
-                }
-            }
-            let Some(mut workload) = workload else {
-                return trace_usage("export needs --workload");
-            };
-            let Some(out) = out else {
-                return trace_usage("export needs --out");
-            };
-            if let Some(n) = requests {
-                workload = workload.with_requests(n);
-            }
-            match pc_experiments::traceio::export(&workload, seed, &out) {
-                Ok(written) => {
-                    println!(
-                        "wrote {written} {} records to {}",
-                        workload.name(),
-                        out.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: exporting to {}: {e}", out.display());
-                    ExitCode::from(1)
-                }
-            }
-        }
+        Some("export") => run_export(&args[1..]),
         Some("info") => {
             let [path] = &args[1..] else {
-                return trace_usage("info takes exactly one FILE.pct argument");
+                return Err("info takes exactly one FILE.pct argument".into());
             };
-            match pc_experiments::traceio::info(std::path::Path::new(path)) {
+            Ok(match traceio::info(Path::new(path)) {
                 Ok(summary) => {
                     print!("{summary}");
                     ExitCode::SUCCESS
@@ -255,157 +174,123 @@ fn run_trace(args: &[String]) -> ExitCode {
                     eprintln!("error: reading {path}: {e}");
                     ExitCode::from(1)
                 }
-            }
+            })
         }
-        Some("filter") => run_filter(&args[1..]),
-        Some("slice") => run_slice(&args[1..]),
-        Some("merge") => run_merge(&args[1..]),
-        Some("rescale") => run_rescale(&args[1..]),
-        Some(other) => trace_usage(&format!("unknown trace sub-command: {other}")),
+        Some(cmd @ ("filter" | "slice" | "merge" | "rescale")) => run_surgery(cmd, &args[1..]),
+        Some(other) => Err(format!("unknown trace sub-command: {other}")),
         None => {
-            trace_usage("trace needs a sub-command (export, info, filter, slice, merge, rescale)")
+            Err("trace needs a sub-command (export, info, filter, slice, merge, rescale)".into())
         }
     }
 }
 
-/// `repro trace filter IN --out OUT [predicates]`.
-fn run_filter(args: &[String]) -> ExitCode {
-    let mut input = None;
+/// `repro trace export --workload NAME --out OUT [--requests N] [--seed N]`.
+fn run_export(args: &[String]) -> Result<ExitCode, String> {
+    let mut workload = None;
     let mut out = None;
-    let mut spec = surgery::FilterSpec::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut requests = None;
+    let mut seed = 42u64;
+    let mut flags = Flags::new(args.to_vec());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(path) => out = Some(std::path::PathBuf::from(path)),
-                None => return trace_usage("--out needs a file path"),
-            },
-            "--disk" => match iter.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(d) => spec.disk = Some(d),
-                None => return trace_usage("--disk needs a disk index"),
-            },
-            "--op" => match iter.next().map(String::as_str) {
-                Some("read") => spec.op = Some(pc_trace::IoOp::Read),
-                Some("write") => spec.op = Some(pc_trace::IoOp::Write),
-                _ => return trace_usage("--op needs read or write"),
-            },
-            "--from-us" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(t) => spec.from = Some(pc_units::SimTime::from_micros(t)),
-                None => return trace_usage("--from-us needs a time in microseconds"),
-            },
-            "--until-us" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(t) => spec.until = Some(pc_units::SimTime::from_micros(t)),
-                None => return trace_usage("--until-us needs a time in microseconds"),
-            },
-            path if input.is_none() && !path.starts_with("--") => {
-                input = Some(std::path::PathBuf::from(path));
+            "--workload" => {
+                workload = Some(flags.parse_with(&arg, |name| {
+                    Workload::parse(name)
+                        .ok_or("expected synthetic, oltp, cello96, or nonstationary:SCENARIO")
+                })?);
             }
-            other => return trace_usage(&format!("unexpected argument: {other}")),
+            "--out" => out = Some(PathBuf::from(flags.string(&arg)?)),
+            "--requests" => requests = Some(flags.at_least(&arg, 1)?),
+            "--seed" => seed = flags.value(&arg)?,
+            other => return Err(format!("unexpected argument: {other}")),
         }
     }
-    let (Some(input), Some(out)) = (input, out) else {
-        return trace_usage("filter needs an input file and --out");
-    };
-    report_surgery("filter", surgery::filter(&input, &out, &spec), &out)
+    let mut workload: Workload = workload.ok_or("export needs --workload")?;
+    let out = out.ok_or("export needs --out")?;
+    if let Some(n) = requests {
+        workload = workload.with_requests(n);
+    }
+    Ok(match traceio::export(&workload, seed, &out) {
+        Ok(written) => {
+            println!(
+                "wrote {written} {} records to {}",
+                workload.name(),
+                out.display()
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: exporting to {}: {e}", out.display());
+            ExitCode::from(1)
+        }
+    })
 }
 
-/// `repro trace slice IN --out OUT [bounds]`.
-fn run_slice(args: &[String]) -> ExitCode {
-    let mut input = None;
-    let mut out = None;
-    let mut spec = surgery::SliceSpec::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(path) => out = Some(std::path::PathBuf::from(path)),
-                None => return trace_usage("--out needs a file path"),
-            },
-            "--skip" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => spec.skip = n,
-                None => return trace_usage("--skip needs a record count"),
-            },
-            "--take" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => spec.take = Some(n),
-                None => return trace_usage("--take needs a record count"),
-            },
-            "--from-us" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(t) => spec.from = Some(pc_units::SimTime::from_micros(t)),
-                None => return trace_usage("--from-us needs a time in microseconds"),
-            },
-            "--until-us" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(t) => spec.until = Some(pc_units::SimTime::from_micros(t)),
-                None => return trace_usage("--until-us needs a time in microseconds"),
-            },
-            path if input.is_none() && !path.starts_with("--") => {
-                input = Some(std::path::PathBuf::from(path));
+/// The operands of one surgery sub-command: every one takes inputs and
+/// `--out`; `filter` and `slice` add their predicates, `rescale` its
+/// factor.
+#[derive(Default)]
+struct SurgeryArgs {
+    inputs: Vec<PathBuf>,
+    out: Option<PathBuf>,
+    filter: surgery::FilterSpec,
+    slice: surgery::SliceSpec,
+    factor: Option<f64>,
+}
+
+/// `repro trace filter|slice|rescale IN --out OUT [flags]` and
+/// `repro trace merge IN [IN2 ...] --out OUT`: one flag loop for all
+/// four operators.
+fn run_surgery(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
+    let mut s = SurgeryArgs::default();
+    let mut flags = Flags::new(args.to_vec());
+    while let Some(arg) = flags.next() {
+        match (cmd, arg.as_str()) {
+            (_, "--out") => s.out = Some(flags.string(&arg)?.into()),
+            ("filter", "--disk") => s.filter.disk = Some(flags.value(&arg)?),
+            ("filter", "--op") => {
+                s.filter.op = Some(flags.parse_with(&arg, |op| match op {
+                    "read" => Ok(IoOp::Read),
+                    "write" => Ok(IoOp::Write),
+                    _ => Err("expected read or write"),
+                })?);
             }
-            other => return trace_usage(&format!("unexpected argument: {other}")),
-        }
-    }
-    let (Some(input), Some(out)) = (input, out) else {
-        return trace_usage("slice needs an input file and --out");
-    };
-    report_surgery("slice", surgery::slice(&input, &out, &spec), &out)
-}
-
-/// `repro trace merge IN [IN2 ...] --out OUT`.
-fn run_merge(args: &[String]) -> ExitCode {
-    let mut inputs = Vec::new();
-    let mut out = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(path) => out = Some(std::path::PathBuf::from(path)),
-                None => return trace_usage("--out needs a file path"),
-            },
-            path if !path.starts_with("--") => inputs.push(std::path::PathBuf::from(path)),
-            other => return trace_usage(&format!("unexpected argument: {other}")),
-        }
-    }
-    let Some(out) = out else {
-        return trace_usage("merge needs --out");
-    };
-    if inputs.is_empty() {
-        return trace_usage("merge needs at least one input file");
-    }
-    report_surgery("merge", surgery::merge(&inputs, &out), &out)
-}
-
-/// `repro trace rescale IN --out OUT --factor X`.
-fn run_rescale(args: &[String]) -> ExitCode {
-    let mut input = None;
-    let mut out = None;
-    let mut factor = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(path) => out = Some(std::path::PathBuf::from(path)),
-                None => return trace_usage("--out needs a file path"),
-            },
-            "--factor" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f.is_finite() && f > 0.0 => factor = Some(f),
-                _ => return trace_usage("--factor needs a positive number"),
-            },
-            path if input.is_none() && !path.starts_with("--") => {
-                input = Some(std::path::PathBuf::from(path));
+            ("filter" | "slice", "--from-us") => {
+                let from = Some(SimTime::from_micros(flags.value(&arg)?));
+                (s.filter.from, s.slice.from) = (from, from);
             }
-            other => return trace_usage(&format!("unexpected argument: {other}")),
+            ("filter" | "slice", "--until-us") => {
+                let until = Some(SimTime::from_micros(flags.value(&arg)?));
+                (s.filter.until, s.slice.until) = (until, until);
+            }
+            ("slice", "--skip") => s.slice.skip = flags.value(&arg)?,
+            ("slice", "--take") => s.slice.take = Some(flags.value(&arg)?),
+            ("rescale", "--factor") => s.factor = Some(flags.positive(&arg)?),
+            (_, path) if !path.starts_with("--") && (cmd == "merge" || s.inputs.is_empty()) => {
+                s.inputs.push(path.into());
+            }
+            (_, other) => return Err(format!("unexpected argument: {other}")),
         }
     }
-    let (Some(input), Some(out), Some(factor)) = (input, out, factor) else {
-        return trace_usage("rescale needs an input file, --out, and --factor");
+    let out = s.out.ok_or_else(|| format!("{cmd} needs --out"))?;
+    let input = s
+        .inputs
+        .first()
+        .ok_or_else(|| format!("{cmd} needs an input file"))?;
+    let result = match cmd {
+        "filter" => surgery::filter(input, &out, &s.filter),
+        "slice" => surgery::slice(input, &out, &s.slice),
+        "merge" => surgery::merge(&s.inputs, &out),
+        _ => surgery::rescale(input, &out, s.factor.ok_or("rescale needs --factor")?),
     };
-    report_surgery("rescale", surgery::rescale(&input, &out, factor), &out)
+    Ok(report_surgery(cmd, result, &out))
 }
 
 /// Prints a surgery outcome uniformly and maps errors to exit code 1.
 fn report_surgery(
     what: &str,
     result: std::io::Result<surgery::SurgeryStats>,
-    out: &std::path::Path,
+    out: &Path,
 ) -> ExitCode {
     match result {
         Ok(stats) => {
@@ -453,7 +338,8 @@ fn usage(error: &str) -> ExitCode {
     eprintln!("       repro trace export|info   converts workloads to/inspects .pct files");
     eprintln!("       repro trace filter|slice|merge|rescale   streaming .pct surgery");
     eprintln!("       REPRO_JOBS=N repro ...   (used when --jobs is absent; 0 = one per core)");
-    eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("experiments: {}", names.join(" "));
     if error.is_empty() {
         ExitCode::SUCCESS
     } else {

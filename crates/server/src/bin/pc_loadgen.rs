@@ -5,10 +5,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use pc_server::{
-    parse_slow_shard, parse_write_policy, run_in_process, run_tcp, EngineConfig, LoadgenConfig,
-    SlowShard, DEFAULT_QUEUE_BOUND,
-};
+use pc_server::{run_in_process, run_tcp, EngineConfig, LoadgenConfig};
+use pc_sim::cli::Flags;
 use pc_sim::PolicySpec;
 use pc_trace::Workload;
 
@@ -36,146 +34,68 @@ const USAGE: &str = "usage: pc-loadgen [--addr HOST:PORT] \
 
 struct Args {
     load: LoadgenConfig,
+    /// The `--in-process` cluster; its `disks` follow the workload.
+    engine: EngineConfig,
     shutdown: bool,
     in_process: bool,
-    shards: usize,
-    policy: String,
-    write_policy: String,
     reqs: Option<usize>,
-    shard_queue: usize,
-    slow_shard: Option<SlowShard>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut load = LoadgenConfig::new("127.0.0.1:7070".to_owned());
+    let mut engine = EngineConfig::new(8, 1).with_policy(PolicySpec::PaLru);
     let mut shutdown = false;
     let mut in_process = false;
-    let mut shards = 8usize;
-    let mut policy = PolicySpec::PaLru.name();
-    let mut write_policy = "write-back".to_owned();
     let mut reqs = None;
-    let mut shard_queue = DEFAULT_QUEUE_BOUND;
-    let mut slow_shard = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(flag) = flags.next() {
+        if engine.parse_flag(&flag, &mut flags)? {
+            continue;
+        }
         match flag.as_str() {
-            "--addr" => load.addr = value("--addr")?,
+            "--addr" => load.addr = flags.string(&flag)?,
             "--workload" => {
-                let name = value("--workload")?;
-                load.workload =
-                    Workload::parse(&name).ok_or_else(|| format!("unknown workload {name:?}"))?;
+                load.workload = flags.parse_with(&flag, |name| {
+                    Workload::parse(name).ok_or_else(|| format!("unknown workload {name:?}"))
+                })?;
             }
-            "--conns" => {
-                load.conns = value("--conns")?
-                    .parse()
-                    .map_err(|e| format!("--conns: {e}"))?
-            }
-            "--connections" => {
-                load.connections = value("--connections")?
-                    .parse()
-                    .map_err(|e| format!("--connections: {e}"))?
-            }
-            "--secs" => {
-                load.secs = value("--secs")?
-                    .parse()
-                    .map_err(|e| format!("--secs: {e}"))?
-            }
-            "--seed" => {
-                load.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--rate" => {
-                load.rate = Some(
-                    value("--rate")?
-                        .parse()
-                        .map_err(|e| format!("--rate: {e}"))?,
-                )
-            }
-            "--reqs" => {
-                reqs = Some(
-                    value("--reqs")?
-                        .parse()
-                        .map_err(|e| format!("--reqs: {e}"))?,
-                )
-            }
-            "--retry-budget" => {
-                load.retry_budget = value("--retry-budget")?
-                    .parse()
-                    .map_err(|e| format!("--retry-budget: {e}"))?
-            }
-            "--backoff-us" => {
-                load.backoff_us = value("--backoff-us")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-us: {e}"))?
-            }
-            "--backoff-cap-us" => {
-                load.backoff_cap_us = value("--backoff-cap-us")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-cap-us: {e}"))?
-            }
+            "--conns" => load.conns = flags.at_least(&flag, 1)?,
+            "--connections" => load.connections = flags.value(&flag)?,
+            "--secs" => load.secs = flags.seconds(&flag)?,
+            "--seed" => load.seed = flags.value(&flag)?,
+            "--rate" => load.rate = Some(flags.value(&flag)?),
+            "--reqs" => reqs = Some(flags.value(&flag)?),
+            "--retry-budget" => load.retry_budget = flags.value(&flag)?,
+            "--backoff-us" => load.backoff_us = flags.value(&flag)?,
+            "--backoff-cap-us" => load.backoff_cap_us = flags.value(&flag)?,
             "--io-timeout-secs" => {
-                let secs: f64 = value("--io-timeout-secs")?
-                    .parse()
-                    .map_err(|e| format!("--io-timeout-secs: {e}"))?;
+                let secs = flags.seconds(&flag)?;
                 if secs <= 0.0 {
-                    return Err("--io-timeout-secs must be positive".to_owned());
+                    return Err(format!("{flag}: {secs} is not positive"));
                 }
                 load.io_timeout = Duration::from_secs_f64(secs);
             }
-            "--trace" => load.trace = Some(value("--trace")?.into()),
+            "--trace" => load.trace = Some(flags.string(&flag)?.into()),
             "--payload" => load.payload = true,
-            "--block-bytes" => {
-                load.block_bytes = value("--block-bytes")?
-                    .parse()
-                    .map_err(|e| format!("--block-bytes: {e}"))?;
-                if load.block_bytes == 0 {
-                    return Err("--block-bytes must be at least 1".to_owned());
-                }
-            }
+            "--block-bytes" => load.block_bytes = flags.at_least(&flag, 1)?,
             "--shutdown" => shutdown = true,
             "--in-process" => in_process = true,
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--shard-queue" => {
-                shard_queue = value("--shard-queue")?
-                    .parse()
-                    .map_err(|e| format!("--shard-queue: {e}"))?;
-                if shard_queue == 0 {
-                    return Err("--shard-queue must be at least 1".to_owned());
-                }
-            }
-            "--slow-shard" => {
-                let spec = value("--slow-shard")?;
-                slow_shard =
-                    Some(parse_slow_shard(&spec).ok_or_else(|| {
-                        format!("--slow-shard: expected IDX:MICROS, got {spec:?}")
-                    })?);
-            }
-            "--policy" => policy = value("--policy")?,
-            "--write-policy" => write_policy = value("--write-policy")?,
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
+    engine.check()?;
     if let Some(n) = reqs {
         load.workload = load.workload.clone().with_requests(n);
     }
+    engine.disks = load.workload.disk_count();
     Ok(Args {
         load,
+        engine,
         shutdown,
         in_process,
-        shards,
-        policy,
-        write_policy,
         reqs,
-        shard_queue,
-        slow_shard,
     })
 }
 
@@ -266,39 +186,12 @@ fn main() -> ExitCode {
 }
 
 fn run_in_process_mode(args: &Args) -> ExitCode {
-    let Some(write_policy) = parse_write_policy(&args.write_policy) else {
-        eprintln!("unknown write policy {:?}", args.write_policy);
-        return ExitCode::FAILURE;
-    };
-    let sim = pc_sim::SimConfig::default().with_write_policy(write_policy);
-    let Some(policy) = PolicySpec::online(&args.policy) else {
-        eprintln!(
-            "unknown policy {:?}; online policies: {}",
-            args.policy,
-            PolicySpec::online_names()
-        );
-        return ExitCode::FAILURE;
-    };
-    let mut engine = EngineConfig::new(args.shards, args.load.workload.disk_count())
-        .with_policy(policy)
-        .with_sim(sim)
-        .with_queue_bound(args.shard_queue);
-    if let Some(slow) = args.slow_shard {
-        if slow.shard >= args.shards {
-            eprintln!(
-                "--slow-shard index {} out of range (shards={})",
-                slow.shard, args.shards
-            );
-            return ExitCode::FAILURE;
-        }
-        engine = engine.with_slow_shard(slow);
-    }
     let workload = args
         .load
         .workload
         .clone()
         .with_requests(args.reqs.unwrap_or(100_000));
-    let report = run_in_process(&engine, &workload, args.load.seed);
+    let report = run_in_process(&args.engine, &workload, args.load.seed);
     println!(
         "pc-loadgen (in-process): {} submitted={} served={} hits={} seed={}",
         workload.name(),

@@ -8,7 +8,9 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use pc_server::{parse_slow_shard, parse_write_policy, EngineConfig, Server, DEFAULT_QUEUE_BOUND};
+use pc_cache::WritePolicy;
+use pc_server::{EngineConfig, Server};
+use pc_sim::cli::Flags;
 use pc_sim::PolicySpec;
 
 /// Set by the C signal handler; bridged to the server's stop flag by a
@@ -47,7 +49,7 @@ fn usage() -> String {
   policies: {}\n\
   (--policy meta adapts: it re-ranks the fixed policies each epoch and\n\
   switches the live one; STATS gains per-shard active_policy/switches)\n\
-  write policies: write-back write-through wbeu[:limit] wtdu\n\
+  write policies: {}\n\
   --shard-queue bounds each shard's admission queue (requests); a full\n\
   queue answers BUSY. --slow-shard injects a per-request service delay\n\
   into one shard (fault injection for backpressure tests).\n\
@@ -60,131 +62,44 @@ fn usage() -> String {
   file for later replay (pc-loadgen --trace); capture never blocks a\n\
   shard — when the writer falls behind, records are dropped and the\n\
   drop count surfaces in STATS and the closing report.",
-        PolicySpec::online_names()
+        PolicySpec::online_names(),
+        WritePolicy::NAMES,
     )
 }
 
 struct Args {
     addr: String,
     engine: EngineConfig,
-    policy_name: String,
-    write_name: String,
     capture: Option<std::path::PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut addr = "127.0.0.1:7070".to_owned();
-    let mut shards = 8usize;
-    let mut disks = 21u32;
-    let mut policy_name = PolicySpec::PaLru.name();
-    let mut write_name = "write-back".to_owned();
-    let mut cache_blocks = 4_096usize;
-    let mut prefetch = 0u64;
-    let mut shard_queue = DEFAULT_QUEUE_BOUND;
-    let mut slow_shard = None;
-    let mut io_threads = 0usize;
-    let mut block_bytes = pc_server::protocol::DEFAULT_BLOCK_BYTES;
-    let mut corrupt_rate = 0u64;
+    let mut engine = EngineConfig::new(8, 21).with_policy(PolicySpec::PaLru);
     let mut capture = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(flag) = flags.next() {
+        if engine.parse_flag(&flag, &mut flags)? {
+            continue;
+        }
         match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--disks" => {
-                disks = value("--disks")?
-                    .parse()
-                    .map_err(|e| format!("--disks: {e}"))?
-            }
-            "--policy" => policy_name = value("--policy")?,
-            "--write-policy" => write_name = value("--write-policy")?,
-            "--cache-blocks" => {
-                cache_blocks = value("--cache-blocks")?
-                    .parse()
-                    .map_err(|e| format!("--cache-blocks: {e}"))?;
-            }
-            "--prefetch" => {
-                prefetch = value("--prefetch")?
-                    .parse()
-                    .map_err(|e| format!("--prefetch: {e}"))?
-            }
-            "--shard-queue" => {
-                shard_queue = value("--shard-queue")?
-                    .parse()
-                    .map_err(|e| format!("--shard-queue: {e}"))?;
-                if shard_queue == 0 {
-                    return Err("--shard-queue must be at least 1".to_owned());
-                }
-            }
-            "--slow-shard" => {
-                let spec = value("--slow-shard")?;
-                slow_shard =
-                    Some(parse_slow_shard(&spec).ok_or_else(|| {
-                        format!("--slow-shard: expected IDX:MICROS, got {spec:?}")
-                    })?);
-            }
-            "--io-threads" => {
-                io_threads = value("--io-threads")?
-                    .parse()
-                    .map_err(|e| format!("--io-threads: {e}"))?
-            }
-            "--block-bytes" => {
-                block_bytes = value("--block-bytes")?
-                    .parse()
-                    .map_err(|e| format!("--block-bytes: {e}"))?;
-                if block_bytes == 0 {
-                    return Err("--block-bytes must be at least 1".to_owned());
-                }
-            }
-            "--corrupt-rate" => {
-                corrupt_rate = value("--corrupt-rate")?
-                    .parse()
-                    .map_err(|e| format!("--corrupt-rate: {e}"))?
-            }
-            "--capture" => capture = Some(value("--capture")?.into()),
+            "--addr" => addr = flags.string(&flag)?,
+            "--disks" => engine.disks = flags.at_least(&flag, 1)?,
+            "--cache-blocks" => engine.sim.cache_blocks = flags.at_least(&flag, 1)?,
+            "--prefetch" => engine.sim.prefetch_depth = flags.value(&flag)?,
+            "--io-threads" => engine.io_threads = flags.value(&flag)?,
+            "--block-bytes" => engine.block_bytes = flags.at_least(&flag, 1)?,
+            "--corrupt-rate" => engine.corrupt_every = flags.value(&flag)?,
+            "--capture" => capture = Some(flags.string(&flag)?.into()),
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
-    let write_policy = parse_write_policy(&write_name)
-        .ok_or_else(|| format!("unknown write policy {write_name:?}"))?;
-    let sim = pc_sim::SimConfig::default()
-        .with_cache_blocks(cache_blocks)
-        .with_write_policy(write_policy)
-        .with_prefetch_depth(prefetch);
-    let policy = PolicySpec::online(&policy_name).ok_or_else(|| {
-        format!(
-            "unknown policy {policy_name:?}; online policies: {}",
-            PolicySpec::online_names()
-        )
-    })?;
-    let mut engine = EngineConfig::new(shards, disks)
-        .with_policy(policy)
-        .with_sim(sim)
-        .with_queue_bound(shard_queue)
-        .with_io_threads(io_threads)
-        .with_block_bytes(block_bytes)
-        .with_corrupt_every(corrupt_rate);
-    if let Some(slow) = slow_shard {
-        if slow.shard >= shards {
-            return Err(format!(
-                "--slow-shard index {} out of range (shards={shards})",
-                slow.shard
-            ));
-        }
-        engine = engine.with_slow_shard(slow);
-    }
+    engine.check()?;
     Ok(Args {
         addr,
         engine,
-        policy_name,
-        write_name,
         capture,
     })
 }
@@ -216,8 +131,8 @@ fn main() -> ExitCode {
         "pc-server listening on {addr} shards={} disks={} policy={} write_policy={} cache_blocks={} shard_queue={} front_end={}{} crc32c={}",
         args.engine.shards,
         args.engine.disks,
-        args.policy_name,
-        args.write_name,
+        args.engine.policy.name(),
+        args.engine.sim.write_policy.name(),
         args.engine.sim.cache_blocks,
         args.engine.queue_bound,
         if args.engine.io_threads == 0 {

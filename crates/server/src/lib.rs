@@ -62,7 +62,7 @@ pub use loadgen::{run_in_process, run_tcp, InProcReport, LoadReport, LoadgenConf
 pub use poller::{Event, Interest, Poller, Waker};
 pub use server::{RunSummary, Server};
 pub use shard::{
-    parse_slow_shard, parse_write_policy, shard_of, EngineConfig, InProcCluster, ShardEngine,
-    SlowShard, SubmitOutcome, DEFAULT_QUEUE_BOUND,
+    parse_slow_shard, shard_of, EngineConfig, InProcCluster, ShardEngine, SlowShard, SubmitOutcome,
+    DEFAULT_QUEUE_BOUND,
 };
 pub use stats::{parse_stats_json, CaptureSnapshot, ClusterSnapshot, ShardSnapshot, StatsSummary};

@@ -10,6 +10,8 @@
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
+use pc_cache::WritePolicy;
+use pc_sim::cli::Flags;
 use pc_sim::{OnlineStepper, PolicySpec, SimConfig, StepOutcome};
 use pc_trace::{IoOp, Record, Trace};
 use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
@@ -24,24 +26,6 @@ use crate::stats::{ClusterSnapshot, ShardSnapshot};
 /// a few milliseconds of work in front of a shard while still leaving
 /// headroom for several concurrent connections.
 pub const DEFAULT_QUEUE_BOUND: usize = 4096;
-
-/// Parses a write-policy name: `write-back`, `write-through`, `wtdu`,
-/// or `wbeu[:dirty_limit]` (default limit 64).
-#[must_use]
-pub fn parse_write_policy(name: &str) -> Option<pc_cache::WritePolicy> {
-    use pc_cache::WritePolicy;
-    match name {
-        "write-back" | "wb" => Some(WritePolicy::WriteBack),
-        "write-through" | "wt" => Some(WritePolicy::WriteThrough),
-        "wtdu" => Some(WritePolicy::Wtdu),
-        "wbeu" => Some(WritePolicy::Wbeu { dirty_limit: 64 }),
-        _ => name.strip_prefix("wbeu:").and_then(|n| {
-            n.parse()
-                .ok()
-                .map(|dirty_limit| WritePolicy::Wbeu { dirty_limit })
-        }),
-    }
-}
 
 /// Routes a block to its shard: FxHash of `(disk, block)` modulo the
 /// shard count. Multi-block requests route by their first block, so a
@@ -191,18 +175,63 @@ impl EngineConfig {
         }
     }
 
-    /// Replaces the simulator configuration.
-    #[must_use]
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// Sets the number of event-loop IO threads (0 = auto).
     #[must_use]
     pub fn with_io_threads(mut self, io_threads: usize) -> Self {
         self.io_threads = io_threads;
         self
+    }
+
+    /// Reads one of the five engine flags that `pc-server` and
+    /// `pc-loadgen --in-process` share (`--shards`, `--policy`,
+    /// `--write-policy`, `--shard-queue`, `--slow-shard`) from `flags`.
+    /// Returns `Ok(false)`, consuming nothing, when `flag` is not one of
+    /// them. Call [`check`](EngineConfig::check) once all flags are in.
+    ///
+    /// # Errors
+    ///
+    /// A missing, unparsable or out-of-range value, naming the flag.
+    pub fn parse_flag(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, String> {
+        match flag {
+            "--shards" => self.shards = flags.at_least(flag, 1)?,
+            "--shard-queue" => self.queue_bound = flags.at_least(flag, 1)?,
+            "--write-policy" => {
+                self.sim.write_policy = flags.parse_with(flag, WritePolicy::parse)?
+            }
+            "--policy" => {
+                self.policy = flags.parse_with(flag, |name| {
+                    PolicySpec::online(name).ok_or_else(|| {
+                        format!(
+                            "unknown policy {name:?}; online policies: {}",
+                            PolicySpec::online_names()
+                        )
+                    })
+                })?;
+            }
+            "--slow-shard" => {
+                self.slow_shard = Some(flags.parse_with(flag, |spec| {
+                    parse_slow_shard(spec)
+                        .ok_or_else(|| format!("expected IDX:MICROS, got {spec:?}"))
+                })?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks what no single flag can: the slowed shard exists.
+    ///
+    /// # Errors
+    ///
+    /// A `--slow-shard` index at or past the shard count.
+    pub fn check(&self) -> Result<(), String> {
+        match self.slow_shard {
+            Some(slow) if slow.shard >= self.shards => Err(format!(
+                "--slow-shard index {} out of range (shards={})",
+                slow.shard, self.shards
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Builds one shard's policy instance.
@@ -657,6 +686,39 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         // A different seed gives a different stream.
         assert_ne!(run(43).to_json(), a.to_json());
+    }
+
+    #[test]
+    fn engine_flags_are_read_once_and_checked_together() {
+        let args =
+            "--shards 3 --policy pa-2q --write-policy wbeu:8 --shard-queue 8 --slow-shard 2:5";
+        let mut flags = Flags::new(args.split(' ').map(String::from).collect());
+        let mut cfg = EngineConfig::new(8, 4);
+        while let Some(flag) = flags.next() {
+            assert!(cfg.parse_flag(&flag, &mut flags).unwrap(), "{flag}");
+        }
+        assert_eq!(
+            (cfg.shards, cfg.queue_bound, cfg.slow_delay_micros(2)),
+            (3, 8, 5)
+        );
+        assert_eq!(cfg.policy.name(), "pa-2q");
+        assert_eq!(cfg.sim.write_policy, WritePolicy::Wbeu { dirty_limit: 8 });
+        assert_eq!(cfg.check(), Ok(()));
+        cfg.shards = 2;
+        assert!(cfg.check().unwrap_err().starts_with("--slow-shard"));
+        assert_eq!(cfg.parse_flag("--disks", &mut flags), Ok(false));
+        let bad = [
+            ("--shards", "0"),
+            ("--shard-queue", "0"),
+            ("--policy", "belady"),
+        ];
+        for (flag, value) in bad
+            .into_iter()
+            .chain([("--write-policy", "x"), ("--slow-shard", "1")])
+        {
+            let err = cfg.parse_flag(flag, &mut Flags::new(vec![value.into()]));
+            assert!(err.unwrap_err().starts_with(flag), "{flag} {value}");
+        }
     }
 
     #[test]

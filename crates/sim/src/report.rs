@@ -32,12 +32,6 @@ impl RunTiming {
             },
         }
     }
-
-    /// Wall time in milliseconds.
-    #[must_use]
-    pub fn wall_ms(&self) -> f64 {
-        self.wall.as_secs_f64() * 1e3
-    }
 }
 
 /// Everything one simulation run produces: cache counters, per-disk

@@ -116,12 +116,6 @@ impl OltpConfig {
         self.hot_disks + self.cacheable_disks
     }
 
-    /// First cacheable disk (cacheable disks occupy the tail of the array).
-    #[must_use]
-    pub fn first_cacheable(&self) -> DiskId {
-        DiskId::new(self.hot_disks)
-    }
-
     /// Generates a trace deterministically from a seed.
     ///
     /// # Panics
