@@ -1,7 +1,5 @@
 //! The storage block cache.
 
-use std::collections::BTreeMap;
-
 use pc_trace::{IoOp, Record};
 use pc_units::{BlockId, BlockNo, DiskId};
 
@@ -71,17 +69,14 @@ impl CacheStats {
     }
 }
 
-/// Per-slot block flags.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockState {
-    dirty: bool,
-    logged: bool,
-}
+/// The per-slot state of a block that is in no pending set.
+const ABSENT: u32 = u32::MAX;
 
-/// Per-disk index of flagged blocks: block number → cache slot, ordered
-/// by block number so flushes are deterministic (and roughly sequential
-/// on the platter).
-type DiskSet = BTreeMap<u64, u32>;
+/// One disk's pending blocks as unordered `(block number, slot)` pairs.
+/// Each member's slot records its index here, so removal is a
+/// `swap_remove` plus one back-patch; a flush sorts by block number, so
+/// flushes stay deterministic (and roughly sequential on the platter).
+type DiskSet = Vec<(u64, u32)>;
 
 /// A storage (second-level) block cache with pluggable replacement and
 /// write policies.
@@ -118,12 +113,13 @@ pub struct BlockCache {
     write_policy: WritePolicy,
     /// Block ↔ slot interning for the resident set.
     table: BlockTable,
-    /// Flags per cache slot.
-    state: Vec<BlockState>,
-    /// Dirty blocks, indexed by disk.
-    dirty: Vec<DiskSet>,
-    /// Logged (WTDU) blocks, indexed by disk.
-    logged: Vec<DiskSet>,
+    /// Per cache slot: the block's index in its disk's pending set, or
+    /// [`ABSENT`].
+    state: Vec<u32>,
+    /// Blocks whose newest value has not reached their disk, indexed by
+    /// disk: dirty blocks under WB/WBEU, logged ones under WTDU. A cache
+    /// runs one write policy, so a block is never both.
+    pending: Vec<DiskSet>,
     log: LogSpace,
     stats: CacheStats,
     /// Monotone counter used as the "value" written to the WTDU log so
@@ -166,9 +162,8 @@ impl BlockCache {
             write_policy,
             table: BlockTable::new(),
             state: Vec::new(),
-            dirty: Vec::new(),
-            logged: Vec::new(),
-            log: LogSpace::new(64), // grown on demand in `append_log`
+            pending: Vec::new(),
+            log: LogSpace::new(64), // grown on demand by `LogSpace::append`
             stats: CacheStats::default(),
             write_seq: 0,
             prefetch_depth: 0,
@@ -259,20 +254,11 @@ impl BlockCache {
     fn admit(&mut self, block: BlockId) -> Slot {
         let slot = self.table.intern(block);
         if slot.index() >= self.state.len() {
-            self.state.resize(slot.index() + 1, BlockState::default());
+            self.state.resize(slot.index() + 1, ABSENT);
         } else {
-            self.state[slot.index()] = BlockState::default();
+            self.state[slot.index()] = ABSENT;
         }
         slot
-    }
-
-    /// The per-disk map of `sets` for `disk`, grown on demand.
-    fn disk_set(sets: &mut Vec<DiskSet>, disk: DiskId) -> &mut DiskSet {
-        let i = disk.as_usize();
-        if i >= sets.len() {
-            sets.resize_with(i + 1, DiskSet::new);
-        }
-        &mut sets[i]
     }
 
     /// Processes one access (of `record.blocks` consecutive blocks).
@@ -413,25 +399,19 @@ impl BlockCache {
     fn evict_one(&mut self, effects: &mut Vec<Effect>) -> BlockId {
         let slot = self.policy.evict();
         let victim = self.table.block_of(slot);
-        let state = self.state[slot.index()];
         self.table.release(slot);
         self.stats.evictions += 1;
-        if state.logged {
-            // Must not lose the newest value: flush the whole region (the
-            // victim's newest value is still in the cache… its slot was
-            // just released, so emit its write explicitly first).
+        if self.unmark(slot, victim.disk()) {
+            // Must not lose the newest value: it is only in the cache (and,
+            // under WTDU, the log), and the slot was just released.
             effects.push(Effect::WriteDisk(victim));
             self.stats.disk_writes += 1;
-            self.unlog(victim);
-            let disk = victim.disk();
-            self.on_activation(disk, effects);
-        }
-        if state.dirty {
-            self.stats.dirty_evictions += 1;
-            self.stats.disk_writes += 1;
-            effects.push(Effect::WriteDisk(victim));
-            if let Some(set) = self.dirty.get_mut(victim.disk().as_usize()) {
-                set.remove(&victim.block().number());
+            if self.write_policy == WritePolicy::Wtdu {
+                // Retire the whole region so no pending log entry is left
+                // older than what the disk now holds.
+                self.flush_logged(victim.disk(), effects);
+            } else {
+                self.stats.dirty_evictions += 1;
             }
         }
         victim
@@ -455,14 +435,13 @@ impl BlockCache {
                 self.stats.disk_writes += 1;
             }
             WritePolicy::WriteBack => {
-                self.mark_dirty(slot, block);
+                self.mark(slot, block);
             }
             WritePolicy::Wbeu { dirty_limit } => {
-                self.mark_dirty(slot, block);
-                let count = self.dirty.get(disk.as_usize()).map_or(0, DiskSet::len);
-                if count > dirty_limit {
+                self.mark(slot, block);
+                if self.pending[disk.as_usize()].len() > dirty_limit {
                     // Forced flush: wake the disk to drain its dirty set.
-                    self.flush_dirty(disk, effects);
+                    self.flush_pending(disk, effects);
                 }
             }
             WritePolicy::Wtdu => {
@@ -475,7 +454,7 @@ impl BlockCache {
                     // Retire the region first (the disk is active, so the
                     // flush is cheap and matches the paper's
                     // flush-on-activation protocol).
-                    if self.state[slot.index()].logged {
+                    if self.state[slot.index()] != ABSENT {
                         self.flush_logged(disk, effects);
                     }
                     effects.push(Effect::WriteDisk(block));
@@ -490,79 +469,71 @@ impl BlockCache {
     /// the log region.
     fn on_activation(&mut self, disk: DiskId, effects: &mut Vec<Effect>) {
         match self.write_policy {
-            WritePolicy::Wbeu { .. } => self.flush_dirty(disk, effects),
+            WritePolicy::Wbeu { .. } => self.flush_pending(disk, effects),
             WritePolicy::Wtdu => self.flush_logged(disk, effects),
             WritePolicy::WriteThrough | WritePolicy::WriteBack => {}
         }
     }
 
-    fn mark_dirty(&mut self, slot: Slot, block: BlockId) {
-        let state = &mut self.state[slot.index()];
-        if !state.dirty {
-            state.dirty = true;
-            Self::disk_set(&mut self.dirty, block.disk())
-                .insert(block.block().number(), slot.index() as u32);
+    /// Adds the block at `slot` to its disk's pending set, if absent.
+    fn mark(&mut self, slot: Slot, block: BlockId) {
+        let at = &mut self.state[slot.index()];
+        if *at == ABSENT {
+            let disk = block.disk().as_usize();
+            if disk >= self.pending.len() {
+                self.pending.resize_with(disk + 1, DiskSet::new);
+            }
+            let set = &mut self.pending[disk];
+            *at = set.len() as u32;
+            set.push((block.block().number(), slot.index() as u32));
         }
     }
 
-    fn flush_dirty(&mut self, disk: DiskId, effects: &mut Vec<Effect>) {
-        let Some(set) = self.dirty.get_mut(disk.as_usize()) else {
+    /// Takes the block at `slot` out of `disk`'s pending set; returns
+    /// whether it was there.
+    fn unmark(&mut self, slot: Slot, disk: DiskId) -> bool {
+        let at = std::mem::replace(&mut self.state[slot.index()], ABSENT);
+        if at == ABSENT {
+            return false;
+        }
+        let set = &mut self.pending[disk.as_usize()];
+        set.swap_remove(at as usize);
+        if let Some(&(_, moved)) = set.get(at as usize) {
+            self.state[moved as usize] = at;
+        }
+        true
+    }
+
+    /// Writes every pending block of `disk` home, in ascending block
+    /// order, and empties the set (keeping its capacity).
+    fn flush_pending(&mut self, disk: DiskId, effects: &mut Vec<Effect>) {
+        let Some(set) = self.pending.get_mut(disk.as_usize()) else {
             return;
         };
-        for (no, slot) in std::mem::take(set) {
+        // Block numbers are unique within a disk: this is a sort by block.
+        set.sort_unstable();
+        for &(no, slot) in set.iter() {
             effects.push(Effect::WriteDisk(BlockId::new(disk, BlockNo::new(no))));
-            self.stats.disk_writes += 1;
-            self.state[slot as usize].dirty = false;
+            self.state[slot as usize] = ABSENT;
         }
+        self.stats.disk_writes += set.len() as u64;
+        set.clear();
     }
 
     fn append_log(&mut self, slot: Slot, block: BlockId, effects: &mut Vec<Effect>) {
-        let disk = block.disk();
-        while self.log.disk_count() <= disk.index() {
-            self.log = grow_log(&self.log);
-        }
-        self.log.append(disk, block.block(), self.write_seq);
+        self.log.append(block.disk(), block.block(), self.write_seq);
         self.stats.log_writes += 1;
         effects.push(Effect::WriteLog(block));
-        let state = &mut self.state[slot.index()];
-        if !state.logged {
-            state.logged = true;
-            Self::disk_set(&mut self.logged, disk)
-                .insert(block.block().number(), slot.index() as u32);
-        }
+        self.mark(slot, block);
     }
 
+    /// WTDU's flush: the logged blocks go home and the region retires.
     fn flush_logged(&mut self, disk: DiskId, effects: &mut Vec<Effect>) {
-        if let Some(set) = self.logged.get_mut(disk.as_usize()) {
-            for (no, slot) in std::mem::take(set) {
-                effects.push(Effect::WriteDisk(BlockId::new(disk, BlockNo::new(no))));
-                self.stats.disk_writes += 1;
-                self.state[slot as usize].logged = false;
-            }
-        }
+        self.flush_pending(disk, effects);
         if disk.index() < self.log.disk_count() {
             self.log.flush_region(disk);
         }
     }
-
-    fn unlog(&mut self, block: BlockId) {
-        if let Some(set) = self.logged.get_mut(block.disk().as_usize()) {
-            set.remove(&block.block().number());
-        }
-    }
-}
-
-/// Rebuilds a [`LogSpace`] with twice the regions, preserving content.
-/// (Log regions are per-disk; disk counts are small, so this happens at
-/// most a handful of times per simulation.)
-fn grow_log(old: &LogSpace) -> LogSpace {
-    let mut bigger = LogSpace::new(old.disk_count() * 2);
-    // Replay the recoverable state; flushed generations need no copy for
-    // correctness (recovery ignores them).
-    for (block, value) in old.recover() {
-        bigger.append(block.disk(), block.block(), value);
-    }
-    bigger
 }
 
 #[cfg(test)]
@@ -771,6 +742,16 @@ mod tests {
         let r = c.access_alloc(&rec(0, b, IoOp::Write), |_| true);
         assert_eq!(r.effects, vec![Effect::WriteLog(b)]);
         assert_eq!(c.log().pending(DiskId::new(200)), 1);
+    }
+
+    #[test]
+    fn log_growth_keeps_pending_writes_and_lifetime_appends() {
+        let mut c = cache(8, WritePolicy::Wtdu);
+        c.access_alloc(&rec(0, blk(0, 1), IoOp::Write), |_| true);
+        c.access_alloc(&rec(1, blk(0, 1), IoOp::Write), |_| true);
+        c.access_alloc(&rec(2, blk(200, 1), IoOp::Write), |_| true);
+        assert_eq!(c.log().pending(DiskId::new(0)), 2);
+        assert_eq!(c.log().total_appends(), 3);
     }
 
     #[test]

@@ -34,13 +34,20 @@ pub struct LogEntry {
 }
 
 /// One disk's log region.
+///
+/// The region's space is reused: a flush resets the free pointer, and
+/// the next generation's appends overwrite from the start. Entries past
+/// the pointer are stale ones from earlier generations; they stay on the
+/// device, carrying older stamps, so recovery ignores them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LogRegion {
     /// Current region timestamp (stored in the region's first block).
     pub stamp: u64,
-    /// Appended entries since the region was last reset. The free pointer
-    /// is implicitly `entries.len()`.
+    /// The region's written space. `entries[..free]` is the current
+    /// generation; the rest hold older stamps.
     pub entries: Vec<LogEntry>,
+    /// The free pointer: where the next append lands.
+    pub free: usize,
 }
 
 /// The whole log device: one region per data disk.
@@ -79,26 +86,32 @@ impl LogSpace {
         self.regions.len() as u32
     }
 
-    /// Appends a deferred write for `disk`/`block` carrying `value`,
-    /// stamped with the region's current timestamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `disk` is out of range.
+    /// Appends a deferred write for `disk`/`block` carrying `value` at
+    /// the region's free pointer, stamped with the region's current
+    /// timestamp. A `disk` past the last region adds regions up to it.
     pub fn append(&mut self, disk: DiskId, block: BlockNo, value: u64) {
-        let region = &mut self.regions[disk.as_usize()];
-        region.entries.push(LogEntry {
+        let i = disk.as_usize();
+        if i >= self.regions.len() {
+            self.regions.resize_with(i + 1, LogRegion::default);
+        }
+        let region = &mut self.regions[i];
+        let entry = LogEntry {
             block,
             stamp: region.stamp,
             value,
-        });
+        };
+        match region.entries.get_mut(region.free) {
+            Some(stale) => *stale = entry,
+            None => region.entries.push(entry),
+        }
+        region.free += 1;
         self.appends += 1;
     }
 
     /// Completes a flush of `disk`'s region: the data disk now holds
     /// everything, so the timestamp increments and the free pointer
-    /// resets. (In a real system the entries' space is reused; we keep
-    /// them to let tests verify that recovery ignores them.)
+    /// resets. The flushed entries stay on the device with their now
+    /// stale stamps until the next generation overwrites them.
     ///
     /// # Panics
     ///
@@ -106,10 +119,7 @@ impl LogSpace {
     pub fn flush_region(&mut self, disk: DiskId) {
         let region = &mut self.regions[disk.as_usize()];
         region.stamp += 1;
-        for e in &mut region.entries {
-            // Old entries stay on the device but carry stale stamps.
-            debug_assert!(e.stamp < region.stamp);
-        }
+        region.free = 0;
     }
 
     /// Number of entries appended since `disk`'s last flush.
@@ -224,5 +234,62 @@ mod tests {
         // One more write in the live generation is recoverable.
         log.append(d(0), b(42), 4_242);
         assert_eq!(log.recover(), vec![(BlockId::new(d(0), b(42)), 4_242)]);
+    }
+
+    #[test]
+    fn flushed_space_is_reused_and_stale_entries_stay_ignored() {
+        let mut log = LogSpace::new(1);
+        let mut high_water = 0;
+        let mut stale_tails = 0;
+        let mut value = 0;
+        for generation in 0..50u64 {
+            // Generations of 1 to 7 appends, so a short one often sits
+            // in front of a longer one's stale tail.
+            let len = 1 + (generation * 5) % 7;
+            for i in 0..len {
+                value += 1;
+                log.append(d(0), b(generation * 10 + i), value);
+            }
+            high_water = high_water.max(log.pending(d(0)));
+            let space = log.regions[0].entries.len();
+            assert!(
+                space <= high_water,
+                "{space} entries, high water {high_water}"
+            );
+            if space > log.pending(d(0)) {
+                stale_tails += 1;
+            }
+            let replay = log.recover();
+            assert_eq!(replay.len(), len as usize);
+            assert!(replay
+                .iter()
+                .all(|(id, _)| id.block().number() / 10 == generation));
+            log.flush_region(d(0));
+            assert!(log.recover().is_empty());
+        }
+        assert!(stale_tails > 0, "no generation left a stale tail");
+        assert_eq!(log.regions[0].entries.len(), 7);
+        assert_eq!(log.total_appends(), value);
+    }
+
+    #[test]
+    fn append_past_the_last_region_grows_the_log_in_place() {
+        let mut log = LogSpace::new(1);
+        log.append(d(0), b(1), 10);
+        log.flush_region(d(0));
+        log.append(d(0), b(1), 11);
+        log.append(d(0), b(1), 12);
+        log.append(d(5), b(2), 50);
+        assert_eq!(log.disk_count(), 6);
+        assert_eq!(log.regions[0].stamp, 1);
+        assert_eq!(log.pending(d(0)), 2);
+        assert_eq!(log.total_appends(), 4);
+        assert_eq!(
+            log.recover(),
+            vec![
+                (BlockId::new(d(0), b(1)), 12),
+                (BlockId::new(d(5), b(2)), 50)
+            ]
+        );
     }
 }

@@ -149,9 +149,10 @@ pub struct OnlineStepper {
     requests: u64,
     // One scratch buffer for the stepper's lifetime: the cache fills it on
     // each access and `coalesce` walks it in place. With it, a step under
-    // LRU and write-through performs no heap allocation once every block
-    // of the working set has been seen (`tests/no_alloc.rs`); write-back
-    // still allocates dirty-map nodes.
+    // LRU or PA-LRU and any write policy performs no heap allocation once
+    // every block of the working set has been seen and the cache's
+    // pending sets and log regions have reached their high-water marks
+    // (`tests/no_alloc.rs`).
     effects: Vec<Effect>,
 }
 

@@ -5,14 +5,14 @@
 //!
 //! Scope: `DiskSim::service` and `DiskSim::finish` under every DPM
 //! policy and serve-at-speed (timeline recording off), and
-//! `OnlineStepper::step` with LRU and write-through once every block of
-//! the working set has been seen. Write-back's dirty-block map still
-//! allocates tree nodes, so it is not pinned here.
+//! `OnlineStepper::step` under {LRU, PA-LRU} × {WT, WB, WBEU, WTDU}
+//! once every block of the working set has been seen and every pending
+//! set and WTDU log region has reached its high-water mark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pc_cache::policy::Lru;
+use pc_cache::policy::{OnlinePolicy, PaLruConfig};
 use pc_cache::WritePolicy;
 use pc_diskmodel::{DiskPowerSpec, PowerModel, ServiceModel, ServiceRequest};
 use pc_disksim::{DiskSim, DpmPolicy};
@@ -100,46 +100,110 @@ fn disk_service_and_finish_do_not_allocate() {
     }
 }
 
-#[test]
-fn stepper_lru_write_through_steady_state_does_not_allocate() {
-    const DISKS: u32 = 4;
-    const CACHE_BLOCKS: usize = 256;
-    const HOT_SET: u64 = 64;
-    const WORKING_SET: u64 = 1_024;
+const DISKS: u32 = 4;
+const CACHE_BLOCKS: usize = 256;
+const HOT_SET: u64 = 64;
+const WORKING_SET: u64 = 1_024;
+const STEPS_PER_PASS: u64 = 8 * WORKING_SET;
+
+/// Allocations allowed in one steady-state pass, per stepper cell.
+/// Every cell reads 0; a cell given a non-zero budget states why beside
+/// it. The check is exact, so a cell that improves must be re-pinned.
+const BUDGETS: [(OnlinePolicy, WritePolicy, u64); 8] = [
+    (OnlinePolicy::Lru, WritePolicy::WriteThrough, 0),
+    (OnlinePolicy::Lru, WritePolicy::WriteBack, 0),
+    (OnlinePolicy::Lru, WritePolicy::Wbeu { dirty_limit: 64 }, 0),
+    (OnlinePolicy::Lru, WritePolicy::Wtdu, 0),
+    (OnlinePolicy::PaLru, WritePolicy::WriteThrough, 0),
+    (OnlinePolicy::PaLru, WritePolicy::WriteBack, 0),
+    (
+        OnlinePolicy::PaLru,
+        WritePolicy::Wbeu { dirty_limit: 64 },
+        0,
+    ),
+    (OnlinePolicy::PaLru, WritePolicy::Wtdu, 0),
+];
+
+/// One pass of the schedule; returns its hits. Every other access goes
+/// to a hot set that fits the cache, the rest sweep a working set four
+/// times the cache, so the loop mixes hits, misses and evictions; reads
+/// and writes; and idle gaps long enough to walk the disks down the
+/// ladder. Blocks go to disks by `j / 2` rather than `j`: the salt fixes
+/// the parity of `j` per half of the schedule, so a `j`-keyed mapping
+/// would send one half only to even disks and the other only to odd
+/// ones, and the hot-only disks would never take a read miss (under
+/// WTDU, never wake to retire their log).
+fn pass(stepper: &mut OnlineStepper, time: &mut SimTime, salt: u64) -> u64 {
+    let mut hits = 0u64;
+    for i in 0..STEPS_PER_PASS {
+        let span = if i % 2 == 0 { HOT_SET } else { WORKING_SET };
+        let j = (i * 2_654_435_761 + salt) % span;
+        let disk = DiskId::new((j / 2 % u64::from(DISKS)) as u32);
+        let block = BlockId::new(disk, BlockNo::new(j));
+        let op = if i % 5 == 0 { IoOp::Write } else { IoOp::Read };
+        *time += SimDuration::from_micros(GAPS_MS[(i % 12) as usize] * 37);
+        hits += u64::from(stepper.step(&Record::new(*time, block, op)).hit);
+    }
+    hits
+}
+
+/// Allocations in one steady-state pass of `policy` under
+/// `write_policy`, after two warm-up passes that give every block of the
+/// working set its table entry and let the scratch buffers, pending
+/// sets and log regions reach their working capacity.
+fn steady_state_allocations(policy: OnlinePolicy, write_policy: WritePolicy) -> u64 {
+    let cell = format!("{} + {}", policy.name(), write_policy.name());
     let config = SimConfig::default()
         .with_cache_blocks(CACHE_BLOCKS)
-        .with_write_policy(WritePolicy::WriteThrough);
-    let mut stepper = OnlineStepper::new(DISKS, Box::new(Lru::new()), &config);
-
-    // One pass of the schedule: every other access goes to a hot set
-    // that fits the cache, the rest sweep a working set four times the
-    // cache, so the loop mixes hits, misses and evictions; reads and
-    // writes; and idle gaps long enough to walk the disks down the ladder.
+        .with_write_policy(write_policy);
+    let pa = PaLruConfig::for_power_model(&config.power_model());
+    let mut stepper = OnlineStepper::new(DISKS, policy.build(CACHE_BLOCKS, &pa), &config);
     let mut time = SimTime::ZERO;
-    let mut pass = |stepper: &mut OnlineStepper, salt: u64| {
-        let mut hits = 0u64;
-        for i in 0..8 * WORKING_SET {
-            let span = if i % 2 == 0 { HOT_SET } else { WORKING_SET };
-            let j = (i * 2_654_435_761 + salt) % span;
-            let block = BlockId::new(DiskId::new((j % u64::from(DISKS)) as u32), BlockNo::new(j));
-            let op = if i % 5 == 0 { IoOp::Write } else { IoOp::Read };
-            time += SimDuration::from_micros(GAPS_MS[(i % 12) as usize] * 37);
-            hits += u64::from(stepper.step(&Record::new(time, block, op)).hit);
-        }
-        hits
-    };
-    // Warm-up: every block of the working set gets its table entry and
-    // the scratch buffers reach their working capacity.
     for salt in 0..2 {
-        pass(&mut stepper, salt);
+        pass(&mut stepper, &mut time, salt);
     }
-
+    let start = stepper.cache_stats();
     let before = allocations();
-    let hits = pass(&mut stepper, 11);
+    let hits = pass(&mut stepper, &mut time, 11);
     let spent = allocations() - before;
-    assert_eq!(spent, 0, "{spent} allocations in a steady-state pass");
+    let end = stepper.cache_stats();
     assert!(
-        hits > 0 && hits < 8 * WORKING_SET,
-        "pass mixes hits and misses"
+        hits > 0 && hits < STEPS_PER_PASS,
+        "{cell}: the pass must mix hits and misses"
     );
+    // The measured pass must exercise the write policy's deferred work.
+    match write_policy {
+        WritePolicy::WriteThrough => {}
+        WritePolicy::WriteBack => assert!(
+            end.dirty_evictions > start.dirty_evictions,
+            "{cell}: no dirty eviction"
+        ),
+        WritePolicy::Wbeu { .. } => {
+            assert!(end.disk_writes > start.disk_writes, "{cell}: no flush")
+        }
+        WritePolicy::Wtdu => assert!(end.log_writes > start.log_writes, "{cell}: no log write"),
+    }
+    spent
+}
+
+#[test]
+fn stepper_steady_state_allocation_budgets() {
+    let mut off_budget = Vec::new();
+    for (policy, write_policy, budget) in BUDGETS {
+        let spent = steady_state_allocations(policy, write_policy);
+        if spent != budget {
+            off_budget.push(format!(
+                "{} + {}: {spent} allocations, budget {budget}",
+                policy.name(),
+                write_policy.name()
+            ));
+        }
+    }
+    assert!(off_budget.is_empty(), "cells off budget: {off_budget:#?}");
+}
+
+#[test]
+fn stepper_lru_write_through_steady_state_does_not_allocate() {
+    let spent = steady_state_allocations(OnlinePolicy::Lru, WritePolicy::WriteThrough);
+    assert_eq!(spent, 0, "{spent} allocations in a steady-state pass");
 }
