@@ -33,15 +33,17 @@
 //!
 //! All state lives in dense arrays — no maps or trees on the per-access
 //! path. Every deterministic-miss or next-access instant is a trace access
-//! time, so each disk gets a *position space*: its accesses in trace order,
-//! with equal-time runs collapsed onto a canonical position
-//! (`canon`/`pos_of`). Deterministic-miss multiplicities and resident
-//! next-access buckets are per-position arrays, with a hierarchical bitset
-//! ([`DenseBits`]) per disk giving predecessor/successor instants in
-//! O(log₆₄ n) word steps. Resident blocks are slot-indexed (`Slot` is
-//! dense): per-slot parallel arrays hold the block, its raw next index,
-//! its eviction key, and intrusive bucket links. Victims come from an
-//! index-tracking binary min-heap over slots ordered by
+//! time, so each disk gets an *instant space*: its distinct arrival times,
+//! strictly increasing (`times`), and each block access stores only its
+//! instant on its own disk (`instant`); the disk comes from the block.
+//! With the [`OfflineIndex`] link that is 8 bytes per block access.
+//! Deterministic-miss multiplicities and resident next-access buckets are
+//! per-instant arrays, with a hierarchical bitset ([`DenseBits`]) per disk
+//! giving predecessor/successor instants in O(log₆₄ n) word steps —
+//! 16 bytes and two bits per instant. Resident blocks are slot-indexed
+//! (`Slot` is dense): per-slot parallel arrays hold the block, its raw
+//! next index, and intrusive bucket links. Victims come from an
+//! index-tracking 4-ary min-heap over slots ordered by
 //! `(rounded penalty, −next-access-time, block)` — the same total order
 //! the previous `BTreeSet` used, so victim selection is unchanged. A naive
 //! re-scan eviction mode is kept for property-testing equivalence.
@@ -102,33 +104,28 @@ const NIL: u32 = u32::MAX;
 /// ```
 pub struct Opg {
     index: OfflineIndex,
-    disk_of: Vec<DiskId>,
     power: PowerModel,
     dpm: OpgDpm,
     epsilon: f64,
     cursor: usize,
     naive_eviction: bool,
 
-    /// Access index → position within its disk's access list.
-    pos_of: Vec<u32>,
-    /// Per disk: arrival time (µs) of each position (non-decreasing).
-    disk_times: Vec<Vec<u64>>,
-    /// Per disk: canonical position (the first with the same time) of each
-    /// position, so distinct canonical positions carry distinct times.
-    canon: Vec<Vec<u32>>,
+    /// Access index → its instant on its block's disk.
+    instant: Vec<u32>,
+    /// Per disk: the distinct arrival times (µs) of its accesses,
+    /// strictly increasing; instant `k` of disk `d` is `times[d][k]`.
+    times: Vec<Vec<u64>>,
 
-    /// Per disk: future deterministic-miss multiplicity per canonical
-    /// position.
+    /// Per disk: future deterministic-miss multiplicity per instant.
     det_count: Vec<Vec<u32>>,
-    /// Per disk: canonical positions with `det_count > 0`.
+    /// Per disk: instants with `det_count > 0`.
     det_bits: Vec<DenseBits>,
     /// When each disk last serviced a (deterministic) miss, µs.
     last_active: Vec<u64>,
 
-    /// Per disk: canonical positions holding ≥ 1 resident block's next
-    /// access.
+    /// Per disk: instants holding ≥ 1 resident block's next access.
     res_bits: Vec<DenseBits>,
-    /// Per disk: head slot of each canonical position's resident bucket.
+    /// Per disk: head slot of each instant's resident bucket.
     res_head: Vec<Vec<u32>>,
 
     /// Slot → block occupying it (valid while resident).
@@ -137,7 +134,7 @@ pub struct Opg {
     slot_next: Vec<u32>,
     /// Slot → its position in `heap` (`NIL` = not resident).
     heap_pos: Vec<u32>,
-    /// Intrusive links of the per-position resident buckets.
+    /// Intrusive links of the per-instant resident buckets.
     bucket_prev: Vec<u32>,
     bucket_next: Vec<u32>,
 
@@ -176,51 +173,51 @@ impl Opg {
     pub fn new(trace: &Trace, power: PowerModel, dpm: OpgDpm, epsilon: Joules) -> Self {
         assert!(epsilon.as_joules() >= 0.0, "epsilon must be non-negative");
         let index = OfflineIndex::build(trace);
-        // One entry per expanded (per-block) access, like the index.
-        let disk_of: Vec<DiskId> = trace
-            .iter()
-            .flat_map(|r| std::iter::repeat_n(r.block.disk(), r.blocks as usize))
-            .collect();
         let disks = trace.disk_count() as usize;
-        let mut pos_of = Vec::with_capacity(disk_of.len());
-        let mut disk_times: Vec<Vec<u64>> = vec![Vec::new(); disks];
-        let mut canon: Vec<Vec<u32>> = vec![Vec::new(); disks];
-        for (i, d) in disk_of.iter().enumerate() {
-            let di = d.as_usize();
-            let t = index.time_of(i).as_micros();
-            let pos = disk_times[di].len() as u32;
-            let cp = match disk_times[di].last() {
-                Some(&prev) if prev == t => canon[di][pos as usize - 1],
-                _ => pos,
-            };
-            disk_times[di].push(t);
-            canon[di].push(cp);
-            pos_of.push(pos);
-        }
-        let mut det_count: Vec<Vec<u32>> = disk_times.iter().map(|v| vec![0; v.len()]).collect();
-        let mut det_bits: Vec<DenseBits> =
-            disk_times.iter().map(|v| DenseBits::new(v.len())).collect();
-        for (i, d) in disk_of.iter().enumerate() {
-            if index.is_first(i) {
-                let di = d.as_usize();
-                let cp = canon[di][pos_of[i] as usize] as usize;
-                det_count[di][cp] += 1;
-                det_bits[di].set(cp);
+        // Size each disk's instant list exactly, then fill it.
+        let mut counts = vec![0usize; disks];
+        let mut last = vec![None; disks];
+        for r in trace {
+            let d = r.block.disk().as_usize();
+            if last[d] != Some(r.time) {
+                last[d] = Some(r.time);
+                counts[d] += 1;
             }
         }
-        let res_bits = disk_times.iter().map(|v| DenseBits::new(v.len())).collect();
-        let res_head = disk_times.iter().map(|v| vec![NIL; v.len()]).collect();
+        let mut times: Vec<Vec<u64>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        let mut instant = Vec::with_capacity(index.len());
+        // Every block's first access is a deterministic (cold) miss.
+        let first = index.first_accesses();
+        let mut det_count: Vec<Vec<u32>> = counts.iter().map(|&c| vec![0; c]).collect();
+        let mut det_bits: Vec<DenseBits> = counts.iter().map(|&c| DenseBits::new(c)).collect();
+        for r in trace {
+            let d = r.block.disk().as_usize();
+            let t = r.time.as_micros();
+            if times[d].last() != Some(&t) {
+                times[d].push(t);
+            }
+            let k = times[d].len() - 1;
+            for _ in 0..r.blocks {
+                let i = instant.len();
+                if first[i / 64] & (1 << (i % 64)) != 0 {
+                    det_count[d][k] += 1;
+                    det_bits[d].set(k);
+                }
+                instant.push(k as u32);
+            }
+        }
+        drop(first);
+        let res_bits = counts.iter().map(|&c| DenseBits::new(c)).collect();
+        let res_head = counts.iter().map(|&c| vec![NIL; c]).collect();
         Opg {
             index,
-            disk_of,
             power,
             dpm,
             epsilon: epsilon.as_joules(),
             cursor: 0,
             naive_eviction: false,
-            pos_of,
-            disk_times,
-            canon,
+            instant,
+            times,
             det_count,
             det_bits,
             last_active: vec![0; disks],
@@ -267,6 +264,7 @@ impl Opg {
 
     /// Ladder/mode-scanning variant of [`idle_energy`](Self::idle_energy),
     /// the reference side of the pricing-table equivalence tests.
+    #[cfg(test)]
     fn idle_energy_scan(&self, gap: SimDuration) -> f64 {
         match self.dpm {
             OpgDpm::Oracle => self.power.lower_envelope_scan(gap).as_joules(),
@@ -275,37 +273,37 @@ impl Opg {
     }
 
     /// Raw (un-rounded) penalty for a resident block of disk `d` whose
-    /// next access sits at canonical position `cp`.
+    /// next access falls on instant `k`.
     #[inline]
-    fn penalty_at_pos(&self, d: usize, cp: u32) -> f64 {
-        let cp = cp as usize;
-        if self.det_count[d][cp] > 0 {
+    fn penalty_at(&self, d: usize, k: u32) -> f64 {
+        let k = k as usize;
+        if self.det_count[d][k] > 0 {
             // The disk is provably active at x anyway.
             return 0.0;
         }
-        let times = &self.disk_times[d];
-        let x = times[cp];
+        let times = &self.times[d];
+        let x = times[k];
         let floor = self.last_active[d];
         let leader = self.det_bits[d]
-            .last_set_before(cp)
+            .last_set_before(k)
             .map_or(floor, |p| times[p].max(floor));
         let leader = leader.min(x);
         let follower = self.det_bits[d]
-            .first_set_at_or_after(cp + 1)
+            .first_set_at_or_after(k + 1)
             .map(|p| times[p]);
-        self.penalty_from(x, leader, follower, false)
+        self.penalty_from(x, leader, follower, |gap| self.idle_energy(gap))
     }
 
-    /// The leader/follower penalty arithmetic shared by the position-space
-    /// hot path and the arbitrary-time probes.
-    fn penalty_from(&self, x: u64, leader: u64, follower: Option<u64>, scan: bool) -> f64 {
-        let e = |gap| {
-            if scan {
-                self.idle_energy_scan(gap)
-            } else {
-                self.idle_energy(gap)
-            }
-        };
+    /// The leader/follower penalty arithmetic shared by the instant-space
+    /// hot path and the arbitrary-time test probes, priced by the idle
+    /// energy function `e`.
+    fn penalty_from(
+        &self,
+        x: u64,
+        leader: u64,
+        follower: Option<u64>,
+        e: impl Fn(SimDuration) -> f64,
+    ) -> f64 {
         let dl = SimDuration::from_micros(x - leader);
         let pen = match follower {
             Some(f) => {
@@ -323,45 +321,6 @@ impl Opg {
         pen.max(0.0)
     }
 
-    /// Penalty for a hypothetical re-fetch of `disk` at an arbitrary time
-    /// `x` µs (not necessarily an access instant). Exposed for tests;
-    /// the replay hot path uses [`penalty_at_pos`](Self::penalty_at_pos).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn penalty_probe(&self, disk: DiskId, x: u64) -> f64 {
-        self.probe(disk, x, false)
-    }
-
-    /// [`penalty_probe`](Self::penalty_probe) priced through the
-    /// mode/ladder scans instead of the precomputed tables (bit-identical
-    /// by construction; the reference the tests compare against).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn penalty_probe_scan(&self, disk: DiskId, x: u64) -> f64 {
-        self.probe(disk, x, true)
-    }
-
-    fn probe(&self, disk: DiskId, x: u64, scan: bool) -> f64 {
-        let d = disk.as_usize();
-        let times = &self.disk_times[d];
-        let at = times.partition_point(|&t| t < x);
-        if at < times.len() && times[at] == x && self.det_count[d][at] > 0 {
-            // `at` is the first position with time x, i.e. the canonical
-            // position of the instant — the disk is active at x anyway.
-            return 0.0;
-        }
-        let floor = self.last_active[d];
-        let leader = self.det_bits[d]
-            .last_set_before(at)
-            .map_or(floor, |p| times[p].max(floor));
-        let leader = leader.min(x);
-        let after = times.partition_point(|&t| t <= x);
-        let follower = self.det_bits[d]
-            .first_set_at_or_after(after)
-            .map(|p| times[p]);
-        self.penalty_from(x, leader, follower, scan)
-    }
-
     /// The eviction key for a block given its raw next index.
     #[inline]
     fn key_for(&self, block: BlockId, next: u32) -> Key {
@@ -370,10 +329,9 @@ impl Opg {
             return (rounded_bits(0.0, self.epsilon), Reverse(u64::MAX), block);
         }
         let d = block.disk().as_usize();
-        let pos = self.pos_of[next as usize] as usize;
-        let cp = self.canon[d][pos];
-        let x = self.disk_times[d][pos];
-        let pen = self.penalty_at_pos(d, cp);
+        let k = self.instant[next as usize];
+        let x = self.times[d][k as usize];
+        let pen = self.penalty_at(d, k);
         (rounded_bits(pen, self.epsilon), Reverse(x), block)
     }
 
@@ -459,28 +417,28 @@ impl Opg {
     /// Links `slot` into the resident bucket of its next-access instant.
     #[inline]
     fn bucket_insert(&mut self, slot: u32, next: u32) {
-        let (d, cp) = self.instant_of(next);
-        let head = self.res_head[d][cp as usize];
+        let (d, k) = self.instant_of(slot, next);
+        let head = self.res_head[d][k];
         self.bucket_prev[slot as usize] = NIL;
         self.bucket_next[slot as usize] = head;
         if head == NIL {
-            self.res_bits[d].set(cp as usize);
+            self.res_bits[d].set(k);
         } else {
             self.bucket_prev[head as usize] = slot;
         }
-        self.res_head[d][cp as usize] = slot;
+        self.res_head[d][k] = slot;
     }
 
     /// Unlinks `slot` from the resident bucket of its next-access instant.
     #[inline]
     fn bucket_remove(&mut self, slot: u32, next: u32) {
-        let (d, cp) = self.instant_of(next);
+        let (d, k) = self.instant_of(slot, next);
         let prev = self.bucket_prev[slot as usize];
         let after = self.bucket_next[slot as usize];
         if prev == NIL {
-            self.res_head[d][cp as usize] = after;
+            self.res_head[d][k] = after;
             if after == NIL {
-                self.res_bits[d].clear(cp as usize);
+                self.res_bits[d].clear(k);
             }
         } else {
             self.bucket_next[prev as usize] = after;
@@ -490,34 +448,35 @@ impl Opg {
         }
     }
 
-    /// The (disk, canonical position) of a raw access index.
+    /// The (disk, instant) of resident `slot`'s next access, raw index
+    /// `next`: the disk is the block's own.
     #[inline]
-    fn instant_of(&self, next: u32) -> (usize, u32) {
-        let d = self.disk_of[next as usize].as_usize();
-        (d, self.canon[d][self.pos_of[next as usize] as usize])
+    fn instant_of(&self, slot: u32, next: u32) -> (usize, usize) {
+        let d = self.slot_block[slot as usize].disk().as_usize();
+        (d, self.instant[next as usize] as usize)
     }
 
-    /// Registers a future deterministic miss at canonical position `cp` of
-    /// disk `d`, re-pricing the blocks in the gap it splits.
-    fn add_det(&mut self, d: usize, cp: u32) {
-        let count = &mut self.det_count[d][cp as usize];
+    /// Registers a future deterministic miss at instant `k` of disk `d`,
+    /// re-pricing the blocks in the gap it splits.
+    fn add_det(&mut self, d: usize, k: usize) {
+        let count = &mut self.det_count[d][k];
         *count += 1;
         if *count > 1 {
             return; // structurally unchanged
         }
-        self.det_bits[d].set(cp as usize);
-        let times = &self.disk_times[d];
+        self.det_bits[d].set(k);
+        let times = &self.times[d];
         let lo = self.det_bits[d]
-            .last_set_before(cp as usize)
+            .last_set_before(k)
             .map_or(self.last_active[d], |p| times[p]);
         let hi = self.det_bits[d]
-            .first_set_at_or_after(cp as usize + 1)
+            .first_set_at_or_after(k + 1)
             .map_or(u64::MAX, |p| times[p]);
         self.reprice_range(d, lo, hi);
         // Blocks at exactly x become free to evict (penalty 0).
-        if self.res_bits[d].get(cp as usize) {
+        if self.res_bits[d].get(k) {
             let mut at_x = std::mem::take(&mut self.scratch);
-            let mut slot = self.res_head[d][cp as usize];
+            let mut slot = self.res_head[d][k];
             while slot != NIL {
                 at_x.push(slot);
                 slot = self.bucket_next[slot as usize];
@@ -533,7 +492,7 @@ impl Opg {
     /// Re-prices every resident block of disk `d` whose next access lies
     /// strictly inside `(lo, hi)` (times in µs).
     fn reprice_range(&mut self, d: usize, lo: u64, hi: u64) {
-        let times = &self.disk_times[d];
+        let times = &self.times[d];
         let start = times.partition_point(|&t| t <= lo);
         let end = times.partition_point(|&t| t < hi);
         // `reprice` needs `&mut self`, so the affected set is staged in
@@ -583,6 +542,35 @@ impl Opg {
             .min()
             .map(|(_, s)| s)
             .expect("no block to evict")
+    }
+
+    /// Penalty for a hypothetical re-fetch of `disk` at an arbitrary time
+    /// `x` µs (not necessarily an access instant), priced through the
+    /// tables or, with `scan`, through the mode/ladder scans (bit-identical
+    /// by construction; the reference the tests compare against).
+    #[cfg(test)]
+    fn penalty_probe(&self, disk: DiskId, x: u64, scan: bool) -> f64 {
+        let d = disk.as_usize();
+        let times = &self.times[d];
+        let at = times.partition_point(|&t| t < x);
+        if at < times.len() && times[at] == x && self.det_count[d][at] > 0 {
+            // The disk is active at x anyway.
+            return 0.0;
+        }
+        let floor = self.last_active[d];
+        let leader = self.det_bits[d]
+            .last_set_before(at)
+            .map_or(floor, |p| times[p].max(floor));
+        let leader = leader.min(x);
+        let after = times.partition_point(|&t| t <= x);
+        let follower = self.det_bits[d]
+            .first_set_at_or_after(after)
+            .map(|p| times[p]);
+        if scan {
+            self.penalty_from(x, leader, follower, |gap| self.idle_energy_scan(gap))
+        } else {
+            self.penalty_from(x, leader, follower, |gap| self.idle_energy(gap))
+        }
     }
 
     /// Drops every future deterministic miss of `disk` (test scaffolding
@@ -638,13 +626,13 @@ impl ReplacementPolicy for Opg {
             // Replacing "leader = det miss at t" with "leader = last
             // active at t" leaves all penalties unchanged, so no
             // re-pricing is needed.
-            let d = self.disk_of[i].as_usize();
-            let cp = self.canon[d][self.pos_of[i] as usize] as usize;
-            let count = &mut self.det_count[d][cp];
+            let d = block.disk().as_usize();
+            let k = self.instant[i] as usize;
+            let count = &mut self.det_count[d][k];
             if *count > 0 {
                 *count -= 1;
                 if *count == 0 {
-                    self.det_bits[d].clear(cp);
+                    self.det_bits[d].clear(k);
                 }
             }
             self.last_active[d] = self.last_active[d].max(t);
@@ -676,8 +664,8 @@ impl ReplacementPolicy for Opg {
         let next = self.forget(victim);
         if next != NO_NEXT {
             // The victim's next reference is now bound to miss.
-            let (d, cp) = self.instant_of(next);
-            self.add_det(d, cp);
+            let (d, k) = self.instant_of(victim, next);
+            self.add_det(d, k);
         }
         Slot::new(victim)
     }
@@ -816,6 +804,125 @@ mod tests {
         }
     }
 
+    /// A seeded trace of multi-block records (1–8 blocks) on 5 disks with
+    /// several records per one-second tick, so many block accesses share
+    /// one (disk, time) instant — the shape Cello's records have.
+    fn multi_block_trace(seed: u64, records: u64) -> Trace {
+        let mut state = seed;
+        let mut rand = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut t = Trace::new(5);
+        for i in 0..records {
+            let (d, b) = (rand(5) as u32, rand(40));
+            let mut rec = Record::new(SimTime::from_secs(i / 4), blk(d, b), IoOp::Read);
+            rec.blocks = 1 + rand(8);
+            t.push(rec);
+        }
+        t
+    }
+
+    /// Forwards to an [`Opg`] and logs every victim with the number of
+    /// block accesses replayed before it was chosen.
+    struct Recorder(Opg, std::sync::Arc<std::sync::Mutex<Vec<(usize, BlockId)>>>);
+
+    impl ReplacementPolicy for Recorder {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn on_access(&mut self, slot: Option<Slot>, block: BlockId, time: SimTime) {
+            self.0.on_access(slot, block, time);
+        }
+        fn on_insert(&mut self, slot: Slot, block: BlockId, time: SimTime) {
+            self.0.on_insert(slot, block, time);
+        }
+        fn evict(&mut self) -> Slot {
+            let slot = self.0.evict();
+            let block = self.0.slot_block[slot.index()];
+            self.1.lock().unwrap().push((self.0.cursor, block));
+            slot
+        }
+    }
+
+    /// Every victim of `opg` replaying `t` through a `capacity`-block
+    /// cache, in eviction order.
+    fn victims(t: &Trace, capacity: usize, opg: Opg) -> Vec<(usize, BlockId)> {
+        let log = std::sync::Arc::default();
+        let policy = Box::new(Recorder(opg, std::sync::Arc::clone(&log)));
+        let mut cache = BlockCache::new(capacity, policy, WritePolicy::WriteBack);
+        let mut effects = Vec::new();
+        for r in t {
+            cache.access(r, |_| false, &mut effects);
+        }
+        drop(cache);
+        std::sync::Arc::try_unwrap(log)
+            .unwrap()
+            .into_inner()
+            .unwrap()
+    }
+
+    #[test]
+    fn indexed_and_naive_evictions_agree_on_multi_block_shared_instants() {
+        for seed in [0x5EED_0001u64, 0xC0FFEE, 0xB10C_B10C] {
+            let t = multi_block_trace(seed, 600);
+            for dpm in [OpgDpm::Oracle, OpgDpm::Practical] {
+                for eps in [0.0, 5.0, 1e18] {
+                    let build = || Opg::new(&t, power(), dpm, Joules::new(eps));
+                    let fast = victims(&t, 20, build());
+                    let slow = victims(&t, 20, build().with_naive_eviction());
+                    assert!(fast.len() > 100, "{seed:#x}: too few evictions to compare");
+                    assert_eq!(fast, slow, "{seed:#x} {dpm:?}/{eps}");
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over every victim's (accesses before it, disk, block number).
+    fn victim_fold(victims: &[(usize, BlockId)]) -> u64 {
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        for &(at, block) in victims {
+            let words = [
+                at as u64,
+                u64::from(block.disk().index()),
+                block.block().number(),
+            ];
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                fold = (fold ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        fold
+    }
+
+    #[test]
+    fn victims_on_a_cello_slice_are_pinned() {
+        // Pinned before OPG moved from a per-access position space to a
+        // per-disk instant space; any change to victim choice moves them.
+        // At Cello's own 5.6 ms mean gap nearly every instant holds a
+        // cold miss, so most penalties are 0 and OPG evicts like MIN; the
+        // sparse slice gives the energy pricing room to decide.
+        let dense = pc_trace::CelloConfig::default().with_requests(20_000);
+        let sparse = dense.clone().with_mean_gap(SimDuration::from_millis(800));
+        let pins = [
+            (&dense, OpgDpm::Oracle, 55_569, 0x0cf0_3941_dbc8_45ee),
+            (&dense, OpgDpm::Practical, 55_569, 0x0cf0_3941_dbc8_45ee),
+            (&sparse, OpgDpm::Oracle, 56_020, 0xb0e9_9618_8261_da59),
+            (&sparse, OpgDpm::Practical, 56_020, 0xaf90_9a9a_6067_3006),
+        ];
+        for (cello, dpm, count, fold) in pins {
+            let t = cello.generate(42);
+            let v = victims(&t, 2_048, Opg::new(&t, power(), dpm, Joules::ZERO));
+            let mean_gap = cello.mean_gap;
+            assert_eq!(
+                (v.len(), victim_fold(&v)),
+                (count, fold),
+                "{dpm:?}, {mean_gap:?}"
+            );
+        }
+    }
+
     #[test]
     fn prefers_evicting_blocks_whose_disk_is_active_anyway() {
         // Disk 0 has a dense stream of deterministic (cold) misses: its
@@ -848,14 +955,17 @@ mod tests {
         let mut o = opg(&t, 0.0);
         // Disk 0 has det misses at 0, 100 and 200 s (the cold set).
         let d = DiskId::new(0);
-        assert_eq!(o.penalty_probe(d, SimTime::from_secs(100).as_micros()), 0.0);
-        let p = o.penalty_probe(d, SimTime::from_secs(150).as_micros());
+        assert_eq!(
+            o.penalty_probe(d, SimTime::from_secs(100).as_micros(), false),
+            0.0
+        );
+        let p = o.penalty_probe(d, SimTime::from_secs(150).as_micros(), false);
         assert!(p >= 0.0);
         // A miss right between two close det misses is cheap; one far from
         // any activity is expensive.
         let far = {
             o.clear_det(d);
-            o.penalty_probe(d, SimTime::from_secs(10_000).as_micros())
+            o.penalty_probe(d, SimTime::from_secs(10_000).as_micros(), false)
         };
         assert!(far > p, "far {far} vs between {p}");
     }
@@ -869,8 +979,8 @@ mod tests {
             let o = Opg::new(&t, power(), dpm, Joules::ZERO);
             for x in (0..600).map(|s| SimTime::from_millis(s * 997).as_micros()) {
                 assert_eq!(
-                    o.penalty_probe(d, x).to_bits(),
-                    o.penalty_probe_scan(d, x).to_bits(),
+                    o.penalty_probe(d, x, false).to_bits(),
+                    o.penalty_probe(d, x, true).to_bits(),
                     "{dpm:?} probe at {x} µs"
                 );
             }

@@ -499,28 +499,21 @@ pub struct StatsSummary {
     pub meta_switches: u64,
 }
 
-/// Extracts a [`StatsSummary`] from a STATS JSON payload, validating
-/// that braces and brackets balance. Returns `None` on anything
+/// Extracts a [`StatsSummary`] from a STATS JSON payload. The payload
+/// must be one object whose braces and brackets nest (outside strings),
+/// followed by nothing but whitespace. Returns `None` on anything
 /// malformed — the load generator treats that as a failed run.
+///
+/// Optional counters (`busy_rejects`, `queue_high_water`,
+/// `crc_failures`, `meta_switches` and the capture section's) read 0
+/// when absent, for snapshots from older servers, and make the parse fail
+/// when present but not a number.
 ///
 /// This is a purpose-built extractor for the snapshot format above, not
 /// a general JSON parser (the workspace is dependency-free by design).
 #[must_use]
 pub fn parse_stats_json(s: &str) -> Option<StatsSummary> {
-    let mut depth = 0i64;
-    for b in s.bytes() {
-        match b {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return None;
-                }
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 {
+    if !is_one_object(s) {
         return None;
     }
     let total_at = s.rfind("\"total\":{")?;
@@ -528,21 +521,12 @@ pub fn parse_stats_json(s: &str) -> Option<StatsSummary> {
     let requests = num_after(total_part, "\"requests\":")?.parse().ok()?;
     let hits = num_after(total_part, "\"hits\":")?.parse().ok()?;
     let energy_j = num_after(total_part, "\"energy_j\":")?.parse().ok()?;
-    // Absent on snapshots from pre-backpressure servers: treat as zero
-    // rather than failing the whole parse.
-    let busy_rejects = num_after(total_part, "\"busy_rejects\":")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0);
-    let queue_high_water = num_after(total_part, "\"queue_high_water\":")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0);
-    let crc_failures = num_after(total_part, "\"crc_failures\":")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0);
-    // Absent under fixed policies: zero, same as the other optional keys.
-    let meta_switches = num_after(total_part, "\"meta_switches\":")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0);
+    // Absent on snapshots from pre-backpressure servers, and
+    // `meta_switches` under fixed policies.
+    let busy_rejects = optional_count(total_part, "\"busy_rejects\":")?;
+    let queue_high_water = optional_count(total_part, "\"queue_high_water\":")?;
+    let crc_failures = optional_count(total_part, "\"crc_failures\":")?;
+    let meta_switches = optional_count(total_part, "\"meta_switches\":")?;
     // The optional "io" section sits between the shard array and the
     // total; split it off so its counters are not mistaken for shard
     // fields (it carries no "energy_j" keys, but being explicit is
@@ -566,12 +550,8 @@ pub fn parse_stats_json(s: &str) -> Option<StatsSummary> {
         Some(at) => {
             let cap = &s[at..];
             (
-                num_after(cap, "\"recorded\":")
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or(0),
-                num_after(cap, "\"dropped\":")
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or(0),
+                optional_count(cap, "\"recorded\":")?,
+                optional_count(cap, "\"dropped\":")?,
             )
         }
         None => (0, 0),
@@ -597,6 +577,55 @@ pub fn parse_stats_json(s: &str) -> Option<StatsSummary> {
         capture_dropped,
         meta_switches,
     })
+}
+
+/// Whether `s` is one JSON object, optionally surrounded by whitespace:
+/// brackets nest and match outside strings (escapes honoured), and
+/// nothing but whitespace follows the closing brace.
+fn is_one_object(s: &str) -> bool {
+    let body = s.trim_start();
+    if !body.starts_with('{') {
+        return false;
+    }
+    let mut open = Vec::new();
+    let mut in_string = false;
+    let mut escaped = false;
+    for (i, b) in body.bytes().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'{' => open.push(b'}'),
+            b'[' => open.push(b']'),
+            b'}' | b']' => {
+                if open.pop() != Some(b) {
+                    return false;
+                }
+                if open.is_empty() {
+                    return body[i + 1..].trim().is_empty();
+                }
+            }
+            _ => {}
+        }
+    }
+    false
+}
+
+/// An optional counter after `key`: 0 when the key is absent, `None` when
+/// its value is not a non-negative integer.
+fn optional_count(s: &str, key: &str) -> Option<u64> {
+    if s.contains(key) {
+        num_after(s, key)?.parse().ok()
+    } else {
+        Some(0)
+    }
 }
 
 fn num_after<'a>(s: &'a str, key: &str) -> Option<&'a str> {
@@ -839,6 +868,107 @@ mod tests {
         assert!(c
             .render_table()
             .contains("capture: recorded=1234 dropped=56"));
+    }
+
+    /// A STATS reply as a two-shard `lru` server sent it over loopback
+    /// (one connection, a miss and a hit on one block).
+    const LIVE_REPLY: &str = concat!(
+        r#"{"policy":"lru","write_policy":"write-back","shards":[{"shard":0,"requests":0,"#,
+        r#""accesses":0,"hits":0,"hit_ratio":0.0,"disk_reads":0,"disk_writes":0,"#,
+        r#""log_writes":0,"energy_j":0.0,"mean_us":0,"p50_us":0,"p99_us":0,"horizon_us":0,"#,
+        r#""busy_rejects":0,"queue_depth":0,"queue_high_water":0,"crc_failures":0},"#,
+        r#"{"shard":1,"requests":2,"accesses":2,"hits":1,"hit_ratio":0.5,"disk_reads":1,"#,
+        r#""disk_writes":0,"log_writes":0,"energy_j":0.070701,"mean_us":2505,"p50_us":200,"#,
+        r#""p99_us":6400,"horizon_us":830,"busy_rejects":0,"queue_depth":0,"#,
+        r#""queue_high_water":2,"crc_failures":0}],"io":[{"thread":0,"connections":1,"#,
+        r#""wakeups":2,"frames":3,"writeback_bytes":0,"buffer_bytes":4096}],"#,
+        r#""total":{"requests":2,"accesses":2,"hits":1,"hit_ratio":0.5,"disk_reads":1,"#,
+        r#""disk_writes":0,"log_writes":0,"energy_j":0.070701,"mean_us":2505,"p50_us":200,"#,
+        r#""p99_us":6400,"busy_rejects":0,"queue_high_water":2,"crc_failures":0}}"#,
+    );
+
+    #[test]
+    fn a_live_stats_reply_parses() {
+        let summary = parse_stats_json(LIVE_REPLY).expect("a live reply parses");
+        assert_eq!(summary.requests, 2);
+        assert_eq!(summary.hits, 1);
+        assert_eq!(summary.energy_j, 0.070701);
+        assert_eq!(summary.shard_energy_j, [0.0, 0.070701]);
+        assert_eq!(summary.queue_high_water, 2);
+        assert_eq!((summary.io_connections, summary.io_buffer_bytes), (1, 4096));
+        assert_eq!((summary.busy_rejects, summary.crc_failures), (0, 0));
+    }
+
+    #[test]
+    fn extractor_accepts_one_document_and_typed_counters_only() {
+        let capture = {
+            let mut c = cluster();
+            c.capture = Some(CaptureSnapshot {
+                recorded: 5,
+                dropped: 1,
+            });
+            c.to_json()
+        };
+        let odd_name = {
+            let mut c = cluster();
+            c.policy = "p{[x".into();
+            c.to_json()
+        };
+        let live = |from: &str, to: &str| LIVE_REPLY.replacen(from, to, 1);
+        let total = |from: &str, to: &str| {
+            let at = LIVE_REPLY.rfind("\"total\":").unwrap();
+            format!(
+                "{}{}",
+                &LIVE_REPLY[..at],
+                LIVE_REPLY[at..].replacen(from, to, 1)
+            )
+        };
+        // (payload, Some(busy_rejects) if it must parse, None if not)
+        let cases: Vec<(String, Option<u64>)> = vec![
+            (LIVE_REPLY.into(), Some(0)),
+            (format!("{LIVE_REPLY}\n"), Some(0)),
+            (format!(" \t{LIVE_REPLY}\r\n "), Some(0)),
+            (format!("{LIVE_REPLY}x"), None),
+            (format!("{LIVE_REPLY}{{}}"), None),
+            (format!("{LIVE_REPLY}}}"), None),
+            (format!("x{LIVE_REPLY}"), None),
+            (LIVE_REPLY.replacen("}]", "]]", 1), None),
+            (odd_name, Some(0)),
+            (live(r#""policy":"lru""#, r#""policy":"l\"{ru""#), Some(0)),
+            (live(r#""policy":"lru""#, r#""policy":"l\\""#), Some(0)),
+            (total(r#""crc_failures":0}"#, r#""crc_failures":0"}"#), None),
+            (total(r#""busy_rejects":0"#, r#""busy_rejects":7"#), Some(7)),
+            (total(r#","busy_rejects":0"#, ""), Some(0)),
+            (total(r#""busy_rejects":0"#, r#""busy_rejects":"7""#), None),
+            (
+                total(r#""queue_high_water":2"#, r#""queue_high_water":"2""#),
+                None,
+            ),
+            (total(r#""crc_failures":0"#, r#""crc_failures":null"#), None),
+            (
+                total(
+                    r#""crc_failures":0"#,
+                    r#""crc_failures":0,"meta_switches":3"#,
+                ),
+                Some(0),
+            ),
+            (
+                total(
+                    r#""crc_failures":0"#,
+                    r#""crc_failures":0,"meta_switches":"3""#,
+                ),
+                None,
+            ),
+            (capture.clone(), Some(0)),
+            (
+                capture.replacen(r#""dropped":1"#, r#""dropped":"1""#, 1),
+                None,
+            ),
+        ];
+        for (i, (payload, want)) in cases.iter().enumerate() {
+            let got = parse_stats_json(payload).map(|s| s.busy_rejects);
+            assert_eq!(got, *want, "case {i}: {payload}");
+        }
     }
 
     #[test]
