@@ -29,7 +29,7 @@ use std::fmt;
 
 use pc_units::{Joules, SimDuration, Watts};
 
-use crate::pricing::{scan_oracle_mode, IdleEnergyTable};
+use crate::pricing::IdleEnergyTable;
 use crate::DiskPowerSpec;
 
 /// Index of a power mode within a [`PowerModel`].
@@ -268,7 +268,7 @@ impl PowerModel {
     /// DPM consumes).
     ///
     /// Served from the precomputed segment table; bit-identical to
-    /// [`lower_envelope_scan`](Self::lower_envelope_scan).
+    /// `lower_envelope_scan`, the scan the `test-support` feature keeps.
     #[must_use]
     #[inline]
     pub fn lower_envelope(&self, gap: SimDuration) -> Joules {
@@ -278,6 +278,7 @@ impl PowerModel {
     /// Reference implementation of [`lower_envelope`](Self::lower_envelope):
     /// scans every mode's energy line. Kept as the reference the
     /// pricing table's equivalence tests compare against.
+    #[cfg(any(test, feature = "test-support"))]
     #[must_use]
     pub fn lower_envelope_scan(&self, gap: SimDuration) -> Joules {
         self.energy_line(self.oracle_mode_for_gap_scan(gap), gap)
@@ -288,7 +289,8 @@ impl PowerModel {
     /// time fits inside the gap; full speed is always feasible.
     ///
     /// Served from the precomputed segment table; identical to
-    /// [`oracle_mode_for_gap_scan`](Self::oracle_mode_for_gap_scan).
+    /// `oracle_mode_for_gap_scan`, the scan the `test-support` feature
+    /// keeps.
     #[must_use]
     #[inline]
     pub fn oracle_mode_for_gap(&self, gap: SimDuration) -> ModeId {
@@ -298,9 +300,10 @@ impl PowerModel {
     /// Reference implementation of
     /// [`oracle_mode_for_gap`](Self::oracle_mode_for_gap): scans every
     /// mode's energy line, keeping the shallowest mode on ties.
+    #[cfg(any(test, feature = "test-support"))]
     #[must_use]
     pub fn oracle_mode_for_gap_scan(&self, gap: SimDuration) -> ModeId {
-        scan_oracle_mode(&self.modes, gap)
+        crate::pricing::scan_oracle_mode(&self.modes, gap)
     }
 
     /// The Figure-4 savings line: energy saved versus staying at full-speed
@@ -350,6 +353,7 @@ impl PowerModel {
 
     /// The mode the Practical-DPM ladder rests in after `idle` cumulative
     /// idle time.
+    #[cfg(any(test, feature = "test-support"))]
     #[must_use]
     pub fn practical_mode_at(&self, idle: SimDuration) -> ModeId {
         let mut mode = ModeId::FULL_SPEED;
@@ -373,7 +377,8 @@ impl PowerModel {
     /// in `pc-disksim` additionally models transition *durations*.)
     ///
     /// Served from the precomputed segment table; bit-identical to
-    /// [`practical_idle_energy_scan`](Self::practical_idle_energy_scan).
+    /// `practical_idle_energy_scan`, the walk the `test-support` feature
+    /// keeps.
     #[must_use]
     #[inline]
     pub fn practical_idle_energy(&self, gap: SimDuration) -> Joules {
@@ -384,6 +389,7 @@ impl PowerModel {
     /// [`practical_idle_energy`](Self::practical_idle_energy): walks the
     /// demotion ladder step by step. Kept as the reference the pricing
     /// table's equivalence tests compare against.
+    #[cfg(any(test, feature = "test-support"))]
     #[must_use]
     pub fn practical_idle_energy_scan(&self, gap: SimDuration) -> Joules {
         let mut energy = Joules::ZERO;

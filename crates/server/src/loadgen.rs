@@ -3,24 +3,28 @@
 //! closing report (client-measured latency plus the server's own STATS
 //! snapshot).
 //!
-//! The client speaks the overload protocol: a `BUSY` response parks the
-//! request for a retry round paced by capped exponential backoff with
-//! seeded jitter, up to a per-request retry budget; requests whose
-//! budget runs out are counted as `exhausted` — the caller's signal
-//! that the server stayed saturated beyond what backing off could
-//! absorb. All sockets carry read *and* write timeouts, so a server
-//! that accepts connections and then goes silent (or stops reading)
-//! surfaces as an error instead of a hang.
+//! Each hot connection is one thread with one nonblocking socket under
+//! its own [`Poller`], and one seq-keyed in-flight table that owns each
+//! request from first send to final answer. A `BUSY` reply parks the
+//! request for a capped exponential backoff with seeded jitter, then
+//! resends it under a fresh seq, up to a per-request retry budget; a
+//! request whose budget runs out counts as `exhausted`. What keeps
+//! `BUSY` rare is the connection's in-flight window, which halves on
+//! `BUSY` and grows back on clean replies, so a closed loop settles at
+//! what the server admits. A silent server is a `TimedOut` error, never
+//! a hang.
 
-use std::io::Write;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::io::{self, ErrorKind, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pc_cache::IntervalHistogram;
-use pc_trace::{IoOp, Record, RecordStream, Workload};
+use pc_trace::{IoOp, Record, Workload};
+use pc_tracefile::MappedTrace;
 use pc_units::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,21 +32,26 @@ use rand::{Rng, SeedableRng};
 use pc_crc::crc32c;
 
 use crate::data::fill_block;
+use crate::poller::{Interest, Poller};
 use crate::protocol::{
     encode_data_request, encode_request, FrameBuf, Request, Response, DEFAULT_BLOCK_BYTES,
     MAX_DATA_BLOCKS,
 };
 use crate::stats::{parse_stats_json, ClusterSnapshot, StatsSummary};
 
-/// Outstanding-request ring size per connection (latency timestamps and
-/// retry metadata are stored by `seq % RING`).
-const RING: usize = 1 << 16;
+/// The largest in-flight window of a metadata connection.
+const WINDOW_CAP: usize = 32 * 1024;
 
-/// Maximum in-flight requests per connection: half the ring, so a
-/// response always finds its send timestamp intact.
-const WINDOW: i64 = (RING as i64) / 2;
+/// The largest in-flight window in payload mode: replies are
+/// block-sized, not 14 bytes, so a connection's reply backlog stays a
+/// few MiB instead of `WINDOW_CAP × block_bytes`.
+const PAYLOAD_WINDOW_CAP: usize = 1024;
 
-/// Flush the send buffer at this size.
+/// The window a connection opens with; it doubles per clean round trip
+/// until the first `BUSY`.
+const INITIAL_WINDOW: usize = 64;
+
+/// Encode at most this many bytes ahead of the socket.
 const SEND_CHUNK: usize = 48 * 1024;
 
 /// Load-generator configuration.
@@ -77,8 +86,8 @@ pub struct LoadgenConfig {
     pub backoff_us: u64,
     /// Backoff ceiling in microseconds.
     pub backoff_cap_us: u64,
-    /// Socket read/write timeout: a server that stops reading or never
-    /// replies surfaces as an error instead of a hang.
+    /// The grace a hot connection gives its last replies after the run,
+    /// and the socket timeout of the STATS and idle-probe round trips.
     pub io_timeout: Duration,
     /// Drive the protocol-v2 data plane: writes carry their block
     /// payloads (`WRITE_DATA`), reads are `READ_DATA`, and every `DATA`
@@ -140,54 +149,17 @@ impl LoadgenConfig {
     }
 }
 
-/// A round-robin cursor over a shared memory-mapped trace: the cursor
-/// for connection `c` yields records `c, c+stride, c+2·stride, …` in
-/// file order, decoding each straight off the map. The map is verified
-/// in full before any cursor is built, so `get` cannot fail here.
-#[derive(Debug)]
-struct StrideCursor {
-    map: Arc<pc_tracefile::MappedTrace>,
-    next: u64,
-    stride: u64,
+/// Connection `conn`'s share of a mapped trace: records `conn`,
+/// `conn + conns`, `conn + 2·conns`, … in file order, decoded straight
+/// off the shared map. The map is verified in full before any share is
+/// dealt, so `get` cannot fail here.
+fn stride(map: Arc<MappedTrace>, conn: usize, conns: usize) -> impl Iterator<Item = Record> + Send {
+    (conn as u64..map.len())
+        .step_by(conns)
+        .map(move |i| map.get(i).expect("trace verified before replay"))
 }
 
-impl Iterator for StrideCursor {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Record> {
-        if self.next >= self.map.len() {
-            return None;
-        }
-        let record = self
-            .map
-            .get(self.next)
-            .expect("trace verified before replay");
-        self.next += self.stride;
-        Some(record)
-    }
-}
-
-/// What a connection worker replays: a generated workload stream or a
-/// stride cursor over a shared mapped trace. One concrete type keeps
-/// both spawn paths on a single `conn_worker` instantiation.
-#[derive(Debug)]
-enum ReplaySource {
-    Generated(Box<RecordStream>),
-    Mapped(StrideCursor),
-}
-
-impl Iterator for ReplaySource {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Record> {
-        match self {
-            ReplaySource::Generated(s) => s.next(),
-            ReplaySource::Mapped(c) => c.next(),
-        }
-    }
-}
-
-/// Per-connection results.
+/// One connection's tallies, summed into the report by [`ConnStats::add`].
 #[derive(Debug, Default, Clone)]
 struct ConnStats {
     sent: u64,
@@ -200,23 +172,27 @@ struct ConnStats {
     payload_bytes: u64,
     verify_failures: u64,
     corrupt: u64,
-    /// True when the `--secs` deadline stopped this connection; false
-    /// when its record source (generator bound or trace file) ran dry.
-    hit_deadline: bool,
+    /// 1 when the `--secs` deadline stopped this connection; 0 when its
+    /// record source (generator bound or trace file) ran dry.
+    deadline_stops: u64,
+    /// The in-flight window at the end of the run (not summed).
+    window: u64,
 }
 
-/// The retry/backoff knobs a connection worker needs, detached from
-/// [`LoadgenConfig`] so worker threads can own a copy.
-#[derive(Debug, Clone, Copy)]
-struct RetryKnobs {
-    budget: u32,
-    backoff_us: u64,
-    backoff_cap_us: u64,
-    io_timeout: Duration,
-    seed: u64,
-    /// `Some(block_bytes)` drives the data plane (`READ_DATA`/
-    /// `WRITE_DATA`); `None` is the metadata protocol.
-    data: Option<usize>,
+impl ConnStats {
+    fn add(&mut self, o: &ConnStats) {
+        self.sent += o.sent;
+        self.responses += o.responses;
+        self.hits += o.hits;
+        self.busy += o.busy;
+        self.retries += o.retries;
+        self.exhausted += o.exhausted;
+        self.lat_ns_total += o.lat_ns_total;
+        self.payload_bytes += o.payload_bytes;
+        self.verify_failures += o.verify_failures;
+        self.corrupt += o.corrupt;
+        self.deadline_stops += o.deadline_stops;
+    }
 }
 
 /// The closing report of a load-generation run.
@@ -265,6 +241,11 @@ pub struct LoadReport {
     pub deadline_stops: u64,
     /// Hot connections driven (`--conns`).
     pub hot_conns: u64,
+    /// The smallest in-flight window a hot connection ended the run
+    /// with.
+    pub window_min: u64,
+    /// The largest in-flight window a hot connection ended the run with.
+    pub window_max: u64,
 }
 
 impl LoadReport {
@@ -318,8 +299,8 @@ impl LoadReport {
             self.mean_latency, p50, p99,
         ));
         out.push_str(&format!(
-            "backpressure: busy_rejects={} retries={} exhausted={}\n",
-            self.busy_rejects, self.retries, self.exhausted,
+            "backpressure: busy_rejects={} retries={} exhausted={} window={}..{}\n",
+            self.busy_rejects, self.retries, self.exhausted, self.window_min, self.window_max,
         ));
         // The run is bounded by min(source exhaustion, --secs); say
         // which bound actually ended it so a replay that quietly ran
@@ -387,163 +368,104 @@ impl LoadReport {
 ///
 /// Propagates connection and socket errors, and reports a malformed or
 /// unparseable STATS payload as `InvalidData`.
-pub fn run_tcp(cfg: &LoadgenConfig) -> std::io::Result<LoadReport> {
+pub fn run_tcp(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
     assert!(cfg.conns > 0, "need at least one connection");
 
     // File replay: memory-map the trace and verify every chunk up front
     // (a corrupt file must fail before any load hits the server); the
-    // hot connections then share the map through round-robin cursors —
+    // hot connections then share the map through round-robin strides —
     // connection `c` replays records c, c+conns, c+2·conns, … in file
     // order, with no per-connection vectors and no per-record
     // allocation in the send loop.
-    let trace_map: Option<Arc<pc_tracefile::MappedTrace>> = match &cfg.trace {
-        Some(path) => {
-            let map = pc_tracefile::MappedTrace::open(path)?;
-            map.verify_all()?;
-            Some(Arc::new(map))
-        }
-        None => None,
-    };
+    let trace_map = cfg.trace.as_ref().map(MappedTrace::open).transpose()?;
+    let trace_map = trace_map.map(Arc::new);
+    if let Some(map) = &trace_map {
+        map.verify_all()?;
+    }
 
     // High-count mode: everything past the hot `conns` is a
     // mostly-idle connection — opened up front, served one request,
     // then held silent so the final STATS snapshot observes the full
     // fd population on the server's IO-thread gauges.
     let idle_target = cfg.connections.saturating_sub(cfg.conns);
-    let release = Arc::new(AtomicBool::new(false));
-    let ready = Arc::new(AtomicU64::new(0));
-    let mut holders = Vec::new();
-    if idle_target > 0 {
-        let threads = idle_target.min(4);
-        let per = idle_target.div_ceil(threads);
-        for t in 0..threads {
-            let (lo, hi) = (t * per, ((t + 1) * per).min(idle_target));
-            if lo >= hi {
-                break;
-            }
-            let addr = cfg.addr.clone();
-            let release = Arc::clone(&release);
-            let ready = Arc::clone(&ready);
-            let timeout = cfg.io_timeout;
-            holders.push(std::thread::spawn(move || {
-                idle_holder(&addr, lo..hi, timeout, &ready, &release)
-            }));
-        }
+    let threads = idle_target.min(4);
+    let mut holders = Vec::with_capacity(threads);
+    for t in 0..threads {
+        let ids = t * idle_target / threads..(t + 1) * idle_target / threads;
+        let (addr, timeout) = (cfg.addr.clone(), cfg.io_timeout);
+        holders.push(std::thread::spawn(move || idle_holder(&addr, ids, timeout)));
     }
 
     let started = Instant::now();
     let deadline = started + Duration::from_secs_f64(cfg.secs.max(0.01));
+    let pace_ns = cfg
+        .rate
+        .map(|r| ((1e9 * cfg.conns as f64) / r.max(1.0)) as u64);
     let mut handles = Vec::with_capacity(cfg.conns);
     for conn in 0..cfg.conns {
-        let addr = cfg.addr.clone();
-        let stream = match &trace_map {
-            Some(map) => ReplaySource::Mapped(StrideCursor {
-                map: Arc::clone(map),
-                next: conn as u64,
-                stride: cfg.conns as u64,
-            }),
-            None => ReplaySource::Generated(Box::new(cfg.stream_for(conn))),
+        let records: Box<dyn Iterator<Item = Record> + Send> = match &trace_map {
+            Some(map) => Box::new(stride(Arc::clone(map), conn, cfg.conns)),
+            None => Box::new(cfg.stream_for(conn)),
         };
-        let pace_ns = cfg
-            .rate
-            .map(|r| ((1e9 * cfg.conns as f64) / r.max(1.0)) as u64);
-        let knobs = RetryKnobs {
-            budget: cfg.retry_budget,
-            backoff_us: cfg.backoff_us.max(1),
-            backoff_cap_us: cfg.backoff_cap_us.max(cfg.backoff_us.max(1)),
-            io_timeout: cfg.io_timeout,
-            seed: cfg.seed ^ (conn as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            data: cfg.payload.then_some(cfg.block_bytes.max(1)),
-        };
+        let cfg = cfg.clone();
         handles.push(std::thread::spawn(move || {
-            conn_worker(&addr, stream, deadline, pace_ns, knobs)
+            HotConn::connect(&cfg, conn)?.run(records, deadline, pace_ns)
         }));
     }
-    let mut sent = 0u64;
-    let mut responses = 0u64;
-    let mut hits = 0u64;
-    let mut busy_rejects = 0u64;
-    let mut retries = 0u64;
-    let mut exhausted = 0u64;
-    let mut lat_ns_total = 0u64;
-    let mut payload_bytes = 0u64;
-    let mut verify_failures = 0u64;
-    let mut corrupt = 0u64;
-    let mut deadline_stops = 0u64;
+    let mut total = ConnStats::default();
+    let (mut window_min, mut window_max) = (u64::MAX, 0u64);
     let mut latency_hist = latency_histogram();
     for h in handles {
         let (stats, hist) = h
             .join()
-            .map_err(|_| std::io::Error::other("worker panicked"))??;
-        sent += stats.sent;
-        responses += stats.responses;
-        hits += stats.hits;
-        busy_rejects += stats.busy;
-        retries += stats.retries;
-        exhausted += stats.exhausted;
-        lat_ns_total += stats.lat_ns_total;
-        payload_bytes += stats.payload_bytes;
-        verify_failures += stats.verify_failures;
-        corrupt += stats.corrupt;
-        deadline_stops += u64::from(stats.hit_deadline);
+            .map_err(|_| io::Error::other("connection thread panicked"))??;
+        total.add(&stats);
+        window_min = window_min.min(stats.window);
+        window_max = window_max.max(stats.window);
         latency_hist.merge(&hist);
     }
     let elapsed = started.elapsed();
 
     // Every idle connection must be established (and its one request
     // answered) before the snapshot, or the gauge undercounts fds.
-    if idle_target > 0 {
-        let wait_until = Instant::now() + cfg.io_timeout;
-        while ready.load(Ordering::Acquire) < idle_target as u64 {
-            if Instant::now() > wait_until {
-                break; // The holder thread will surface its own error.
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    let mut idle = ConnStats::default();
+    let mut held = Vec::with_capacity(idle_target);
+    for h in holders {
+        let (stats, streams) = h
+            .join()
+            .map_err(|_| io::Error::other("idle holder panicked"))??;
+        idle.add(&stats);
+        held.extend(streams);
     }
+    total.add(&idle);
 
     // Final STATS over a fresh connection, after all load finished but
     // while the idle population is still holding its sockets open.
     let stats_json = fetch_stats(&cfg.addr, cfg.io_timeout)?;
-    let stats = parse_stats_json(&stats_json).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "server STATS payload did not parse",
-        )
-    })?;
-    release.store(true, Ordering::Release);
-    let mut idle_conns = 0u64;
-    for h in holders {
-        let (h_sent, h_resp, h_hits, h_busy) = h
-            .join()
-            .map_err(|_| std::io::Error::other("idle holder panicked"))??;
-        sent += h_sent;
-        responses += h_resp;
-        hits += h_hits;
-        busy_rejects += h_busy;
-        idle_conns += h_resp + h_busy;
-    }
-    let mean_latency = lat_ns_total
-        .checked_div(responses)
-        .map_or(Duration::ZERO, Duration::from_nanos);
+    let stats = parse_stats_json(&stats_json)
+        .ok_or_else(|| invalid_data("server STATS payload did not parse"))?;
+    drop(held);
+    let mean_ns = total.lat_ns_total.checked_div(total.responses);
     Ok(LoadReport {
-        sent,
-        responses,
-        hits,
-        busy_rejects,
-        retries,
-        exhausted,
+        sent: total.sent,
+        responses: total.responses,
+        hits: total.hits,
+        busy_rejects: total.busy,
+        retries: total.retries,
+        exhausted: total.exhausted,
         elapsed,
         latency_hist,
-        mean_latency,
+        mean_latency: Duration::from_nanos(mean_ns.unwrap_or(0)),
         stats_json,
         stats,
-        idle_conns,
-        payload_bytes,
-        verify_failures,
-        corrupt,
-        deadline_stops,
+        idle_conns: idle.responses + idle.busy,
+        payload_bytes: total.payload_bytes,
+        verify_failures: total.verify_failures,
+        corrupt: total.corrupt,
+        deadline_stops: total.deadline_stops,
         hot_conns: cfg.conns as u64,
+        window_min,
+        window_max,
     })
 }
 
@@ -565,114 +487,89 @@ fn image_payload(disk: u32, block: u64, blocks: u16, block_bytes: usize, buf: &m
     }
 }
 
-/// Encodes one load request: the metadata frame, or — when `data`
-/// carries the block size — the payload frame, with a write's image
-/// bytes regenerated into `scratch` on the spot. Regeneration is what
-/// makes `BUSY` retries free: nothing sent ever needs to be stored.
-#[allow(clippy::too_many_arguments)]
-fn encode_load_request(
-    seq: u32,
-    write: bool,
-    disk: u32,
-    block: u64,
-    blocks: u16,
-    data: Option<usize>,
-    scratch: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-) {
-    match data {
-        None => encode_request(
-            &Request::Io {
-                seq,
-                write,
-                disk,
-                block,
-                blocks,
-            },
-            out,
-        ),
-        Some(bb) => {
-            scratch.clear();
-            if write {
-                image_payload(disk, block, blocks, bb, scratch);
-            }
-            encode_data_request(seq, write, disk, block, blocks, scratch, out);
-        }
-    }
-}
-
 /// Opens the `ids` slice of mostly-idle connections: each connects,
-/// sends a single READ, waits for the reply (counting it toward the
-/// run's books so client and server totals still balance), then holds
-/// the socket open and silent until `release` flips. Returns
-/// `(sent, responses, hits, busy)` for the slice.
+/// sends a single READ and waits for the reply (counting it toward the
+/// run's books so client and server totals still balance). Returns the
+/// open sockets, which the caller holds silent until its snapshot.
 fn idle_holder(
     addr: &str,
     ids: std::ops::Range<usize>,
     timeout: Duration,
-    ready: &AtomicU64,
-    release: &AtomicBool,
-) -> std::io::Result<(u64, u64, u64, u64)> {
+) -> io::Result<(ConnStats, Vec<TcpStream>)> {
     let mut held = Vec::with_capacity(ids.len());
-    let (mut sent, mut responses, mut hits, mut busy) = (0u64, 0u64, 0u64, 0u64);
+    let mut stats = ConnStats::default();
     for id in ids {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let mut wire = Vec::new();
-        encode_request(
-            &Request::Io {
-                seq: id as u32,
-                write: false,
-                disk: (id % 61) as u32,
-                block: (id as u64).wrapping_mul(0x9E37_79B9),
-                blocks: 1,
-            },
-            &mut wire,
-        );
-        stream.write_all(&wire)?;
-        sent += 1;
-        let mut fb = FrameBuf::new();
-        'reply: loop {
-            match fb
-                .next_response()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            {
-                Some(Response::Io { hit, .. }) => {
-                    responses += 1;
-                    if hit {
-                        hits += 1;
-                    }
-                    break 'reply;
-                }
-                Some(Response::Busy { .. }) => {
-                    busy += 1;
-                    break 'reply;
-                }
-                Some(_) => continue,
-                None => {
-                    if fb.read_from(&mut stream)? == 0 {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed an idle connection's first request",
-                        ));
-                    }
-                }
+        let probe = Request::Io {
+            seq: id as u32,
+            write: false,
+            disk: (id % 61) as u32,
+            block: (id as u64).wrapping_mul(0x9E37_79B9),
+            blocks: 1,
+        };
+        // `Some(hit)` for an IO reply, `None` for BUSY.
+        let (stream, answer) = round_trip(addr, timeout, &probe, |resp| match resp {
+            Response::Io { hit, .. } => Some(Some(hit)),
+            Response::Busy { .. } => Some(None),
+            _ => None,
+        })?;
+        let closed = "server closed an idle connection's first request";
+        stats.sent += 1;
+        match answer.ok_or_else(|| error(ErrorKind::UnexpectedEof, closed))? {
+            Some(hit) => {
+                stats.responses += 1;
+                stats.hits += u64::from(hit);
             }
+            None => stats.busy += 1,
         }
         held.push(stream);
-        ready.fetch_add(1, Ordering::Release);
     }
-    while !release.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    drop(held);
-    Ok((sent, responses, hits, busy))
+    Ok((stats, held))
 }
 
 /// Client-side latency bins: 1 µs … ~4.5 min in 28 doubling bins.
 fn latency_histogram() -> IntervalHistogram {
     IntervalHistogram::geometric(SimDuration::from_micros(1), 28)
+}
+
+fn error(kind: ErrorKind, e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(kind, e.to_string())
+}
+
+fn invalid_data(e: impl std::fmt::Display) -> io::Error {
+    error(ErrorKind::InvalidData, e)
+}
+
+/// One request over a fresh connection whose both directions carry
+/// `timeout`: sends `request`, then reads until `answer` picks a reply.
+/// Returns the still-open stream with the picked value, or `None` when
+/// the server closed the stream first.
+fn round_trip<T>(
+    addr: &str,
+    timeout: Duration,
+    request: &Request,
+    mut answer: impl FnMut(Response) -> Option<T>,
+) -> io::Result<(TcpStream, Option<T>)> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    let mut wire = Vec::new();
+    encode_request(request, &mut wire);
+    stream.write_all(&wire)?;
+    let mut fb = FrameBuf::new();
+    loop {
+        match fb.next_response().map_err(invalid_data)? {
+            Some(resp) => {
+                if let Some(picked) = answer(resp) {
+                    return Ok((stream, Some(picked)));
+                }
+            }
+            None => {
+                if fb.read_from(&mut stream)? == 0 {
+                    return Ok((stream, None));
+                }
+            }
+        }
+    }
 }
 
 /// Fetches a STATS snapshot over a dedicated connection. Both socket
@@ -684,31 +581,13 @@ fn latency_histogram() -> IntervalHistogram {
 /// Propagates socket errors; a closed or unframeable stream is
 /// `InvalidData`/`UnexpectedEof`; a silent server is
 /// `WouldBlock`/`TimedOut`.
-pub fn fetch_stats(addr: &str, timeout: Duration) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut wire = Vec::new();
-    encode_request(&Request::Stats { seq: 0 }, &mut wire);
-    stream.write_all(&wire)?;
-    let mut fb = FrameBuf::new();
-    loop {
-        match fb
-            .next_response()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-        {
-            Some(Response::Stats { json, .. }) => return Ok(json),
-            Some(_) => continue,
-            None => {
-                if fb.read_from(&mut stream)? == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed before STATS reply",
-                    ));
-                }
-            }
-        }
-    }
+pub fn fetch_stats(addr: &str, timeout: Duration) -> io::Result<String> {
+    let request = Request::Stats { seq: 0 };
+    let (_, json) = round_trip(addr, timeout, &request, |resp| match resp {
+        Response::Stats { json, .. } => Some(json),
+        _ => None,
+    })?;
+    json.ok_or_else(|| error(ErrorKind::UnexpectedEof, "server closed before STATS reply"))
 }
 
 /// Asks the server to drain and exit (the `SHUTDOWN` opcode), waiting
@@ -717,427 +596,440 @@ pub fn fetch_stats(addr: &str, timeout: Duration) -> std::io::Result<String> {
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn send_shutdown(addr: &str) -> std::io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let mut wire = Vec::new();
-    encode_request(&Request::Shutdown { seq: 0 }, &mut wire);
-    stream.write_all(&wire)?;
-    let mut fb = FrameBuf::new();
-    loop {
-        match fb
-            .next_response()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-        {
-            Some(Response::Shutdown { .. }) => return Ok(()),
-            Some(_) => continue,
-            None => {
-                if fb.read_from(&mut stream)? == 0 {
-                    return Ok(()); // Ack lost in the drain: still shut down.
-                }
-            }
-        }
-    }
+pub fn send_shutdown(addr: &str) -> io::Result<()> {
+    let request = Request::Shutdown { seq: 0 };
+    // A stream closed before the ack means the ack was lost in the
+    // drain: the server shut down all the same.
+    round_trip(addr, Duration::from_secs(10), &request, |resp| {
+        matches!(resp, Response::Shutdown { .. }).then_some(())
+    })?;
+    Ok(())
 }
 
-/// A request bounced with `BUSY`, travelling from the receiver thread
-/// back to the sender for a backoff-paced resend.
-#[derive(Debug, Clone, Copy)]
-struct RetryReq {
+/// What a connection remembers about a request until it is answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Pending {
+    seq: u32,
+    /// Nanoseconds since the connection's epoch at the send a reply
+    /// answers: a resend restamps it.
+    sent_ns: u64,
     disk: u32,
     block: u64,
     blocks: u16,
     write: bool,
-    /// 1 for the first resend, incremented per bounce.
+    /// Resends taken so far.
     attempt: u32,
 }
 
-/// Packs the fields a retry needs into the per-slot metadata word:
-/// `disk:32 | blocks:16 | attempt:15 | write:1`.
-fn pack_meta(disk: u32, blocks: u16, attempt: u32, write: bool) -> u64 {
-    (u64::from(disk) << 32)
-        | (u64::from(blocks) << 16)
-        | (u64::from(attempt & 0x7FFF) << 1)
-        | u64::from(write)
+/// The requests a connection has on the wire, keyed by `seq`. A send
+/// takes the next seq whose slot (`seq % slots`) is free, so however
+/// replies are reordered, a reply finds its own request or none.
+#[derive(Debug)]
+struct InFlight {
+    slots: Vec<Option<Pending>>,
+    len: usize,
+    next_seq: u32,
 }
 
-/// Sleeps one capped-exponential backoff round (with jitter, so
-/// connections do not resynchronize), then resends every pending retry
-/// under fresh sequence numbers. Returns the number of resends.
-#[allow(clippy::too_many_arguments)]
-fn resend_round(
-    pending: &mut Vec<RetryReq>,
-    write_half: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-    seq: &mut u32,
-    start: Instant,
-    ring: &[AtomicU64],
-    meta: &[(AtomicU64, AtomicU64)],
-    outstanding: &AtomicI64,
-    rng: &mut StdRng,
-    knobs: &RetryKnobs,
-) -> std::io::Result<u64> {
-    if pending.is_empty() {
-        return Ok(0);
+impl InFlight {
+    /// A table for up to `cap` requests (twice that many slots).
+    fn new(cap: usize) -> Self {
+        InFlight {
+            slots: vec![None; (2 * cap).next_power_of_two()],
+            len: 0,
+            next_seq: 0,
+        }
     }
-    // One sleep per round, scaled to the round's furthest-along request.
-    let attempt = pending.iter().map(|r| r.attempt).max().unwrap_or(1).max(1);
-    let base = knobs
-        .backoff_us
-        .saturating_mul(1u64 << (attempt - 1).min(20));
-    let us = (base.min(knobs.backoff_cap_us) as f64 * rng.gen_range(0.5..1.5)) as u64;
-    // Flush queued fresh requests first so they are not held back by
-    // the sleep.
-    if !buf.is_empty() {
-        write_half.write_all(buf)?;
-        buf.clear();
+
+    /// Files `p` under the next free seq and returns that seq.
+    fn insert(&mut self, mut p: Pending) -> u32 {
+        assert!(self.len < self.slots.len(), "in-flight table overfull");
+        let mask = self.slots.len() - 1;
+        while self.slots[self.next_seq as usize & mask].is_some() {
+            self.next_seq = self.next_seq.wrapping_add(1);
+        }
+        p.seq = self.next_seq;
+        self.slots[p.seq as usize & mask] = Some(p);
+        self.next_seq = self.next_seq.wrapping_add(1);
+        self.len += 1;
+        p.seq
     }
-    std::thread::sleep(Duration::from_micros(us.max(1)));
-    let n = pending.len() as u64;
-    for r in pending.drain(..) {
-        let slot = *seq as usize % RING;
-        ring[slot].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        meta[slot].0.store(
-            pack_meta(r.disk, r.blocks, r.attempt, r.write),
-            Ordering::Relaxed,
-        );
-        meta[slot].1.store(r.block, Ordering::Relaxed);
-        encode_load_request(
-            *seq, r.write, r.disk, r.block, r.blocks, knobs.data, scratch, buf,
-        );
-        *seq = seq.wrapping_add(1);
-        outstanding.fetch_add(1, Ordering::AcqRel);
-    }
-    write_half.write_all(buf)?;
-    buf.clear();
-    Ok(n)
-}
 
-/// One connection: a sender thread (this one) paced open-loop plus a
-/// receiver thread matching responses to send timestamps. `BUSY`
-/// responses flow back to the sender over a retry channel and are
-/// resent after a backoff, until the per-request budget runs out.
-fn conn_worker(
-    addr: &str,
-    records: ReplaySource,
-    deadline: Instant,
-    pace_ns: Option<u64>,
-    knobs: RetryKnobs,
-) -> std::io::Result<(ConnStats, IntervalHistogram)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(knobs.io_timeout))?;
-    let mut read_half = stream.try_clone()?;
-    read_half.set_read_timeout(Some(Duration::from_millis(50)))?;
-
-    let ring: Arc<Vec<AtomicU64>> = Arc::new((0..RING).map(|_| AtomicU64::new(0)).collect());
-    let meta: Arc<Vec<(AtomicU64, AtomicU64)>> = Arc::new(
-        (0..RING)
-            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-            .collect(),
-    );
-    let outstanding = Arc::new(AtomicI64::new(0));
-    let sender_done = Arc::new(AtomicBool::new(false));
-    let abort = Arc::new(AtomicBool::new(false));
-    let (retry_tx, retry_rx) = channel::<RetryReq>();
-    let start = Instant::now();
-
-    let receiver = {
-        let ring = Arc::clone(&ring);
-        let meta = Arc::clone(&meta);
-        let outstanding = Arc::clone(&outstanding);
-        let sender_done = Arc::clone(&sender_done);
-        let abort = Arc::clone(&abort);
-        let budget = knobs.budget;
-        let data = knobs.data;
-        std::thread::spawn(move || -> std::io::Result<(ConnStats, IntervalHistogram)> {
-            let mut fb = FrameBuf::new();
-            let mut stats = ConnStats::default();
-            let mut hist = latency_histogram();
-            let mut expected = Vec::new();
-            let hard_stop = deadline + Duration::from_secs(15);
-            loop {
-                while let Some(resp) = fb
-                    .next_response()
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-                {
-                    match resp {
-                        Response::Io { seq, hit, .. } => {
-                            let sent_ns = ring[seq as usize % RING].load(Ordering::Relaxed);
-                            let now_ns = start.elapsed().as_nanos() as u64;
-                            let lat_ns = now_ns.saturating_sub(sent_ns);
-                            stats.lat_ns_total += lat_ns;
-                            hist.record(SimDuration::from_micros((lat_ns / 1_000).max(1)));
-                            stats.responses += 1;
-                            stats.hits += u64::from(hit);
-                            outstanding.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Response::Data {
-                            seq, hit, payload, ..
-                        } => {
-                            let slot = seq as usize % RING;
-                            let sent_ns = ring[slot].load(Ordering::Relaxed);
-                            let now_ns = start.elapsed().as_nanos() as u64;
-                            let lat_ns = now_ns.saturating_sub(sent_ns);
-                            stats.lat_ns_total += lat_ns;
-                            hist.record(SimDuration::from_micros((lat_ns / 1_000).max(1)));
-                            stats.responses += 1;
-                            stats.hits += u64::from(hit);
-                            stats.payload_bytes += payload.len() as u64;
-                            if let Some(bb) = data {
-                                // Recover the request from the slot
-                                // metadata and verify the reply against
-                                // the deterministic image: CRC first,
-                                // then exact bytes.
-                                let w1 = meta[slot].0.load(Ordering::Relaxed);
-                                let block = meta[slot].1.load(Ordering::Relaxed);
-                                expected.clear();
-                                image_payload(
-                                    (w1 >> 32) as u32,
-                                    block,
-                                    (w1 >> 16) as u16,
-                                    bb,
-                                    &mut expected,
-                                );
-                                if crc32c(&payload) != crc32c(&expected) || payload != expected {
-                                    stats.verify_failures += 1;
-                                }
-                            }
-                            outstanding.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Response::Corrupt { .. } => {
-                            // Detected server-side and counted there too;
-                            // the request is answered, not retried.
-                            stats.corrupt += 1;
-                            outstanding.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Response::Busy { seq, .. } => {
-                            stats.busy += 1;
-                            let slot = seq as usize % RING;
-                            let w1 = meta[slot].0.load(Ordering::Relaxed);
-                            let attempt = ((w1 >> 1) & 0x7FFF) as u32;
-                            // Forward-then-decrement: the sender treats
-                            // "outstanding is zero" as proof the retry
-                            // channel has gone quiet, so the enqueue
-                            // must be visible before the count drops.
-                            if attempt >= budget
-                                || retry_tx
-                                    .send(RetryReq {
-                                        disk: (w1 >> 32) as u32,
-                                        blocks: (w1 >> 16) as u16,
-                                        write: w1 & 1 == 1,
-                                        block: meta[slot].1.load(Ordering::Relaxed),
-                                        attempt: attempt + 1,
-                                    })
-                                    .is_err()
-                            {
-                                stats.exhausted += 1;
-                            }
-                            outstanding.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        _ => {}
-                    }
-                }
-                if sender_done.load(Ordering::Acquire) && outstanding.load(Ordering::Acquire) <= 0 {
-                    return Ok((stats, hist));
-                }
-                if abort.load(Ordering::Acquire) || Instant::now() > hard_stop {
-                    return Ok((stats, hist)); // Give up on stragglers.
-                }
-                match fb.read_from(&mut read_half) {
-                    Ok(0) => return Ok((stats, hist)),
-                    Ok(_) => {}
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        })
-    };
-
-    let mut write_half = stream;
-    let mut rng = StdRng::seed_from_u64(knobs.seed);
-    let send_result = (|| -> std::io::Result<(u64, u64, bool)> {
-        let mut buf = Vec::with_capacity(SEND_CHUNK + 64);
-        let mut scratch = Vec::new();
-        let mut seq = 0u32;
-        let mut sent = 0u64;
-        let mut retries = 0u64;
-        let mut hit_deadline = false;
-        let mut pending: Vec<RetryReq> = Vec::new();
-        // Payload replies are block-sized, not 14 bytes: cap the
-        // in-flight window so a connection's reply backlog stays a few
-        // MiB instead of WINDOW × block_bytes.
-        let window = if knobs.data.is_some() {
-            WINDOW.min(1024)
+    /// Removes and returns the request `seq` answers, if it is pending.
+    fn take(&mut self, seq: u32) -> Option<Pending> {
+        let mask = self.slots.len() - 1;
+        let slot = &mut self.slots[seq as usize & mask];
+        if slot.is_some_and(|p| p.seq == seq) {
+            self.len -= 1;
+            slot.take()
         } else {
-            WINDOW
+            None
+        }
+    }
+}
+
+/// A connection's in-flight window: how many requests it may have sent
+/// or parked but not yet answered, never more than `cap`. It halves on
+/// `BUSY` at most once per round trip: a `BUSY` for a request sent
+/// before the last cut reports the overload that cut already answered.
+/// Until the first cut it grows by one per clean reply, doubling each
+/// round trip; after it, by one per window of clean replies, one per
+/// round trip.
+#[derive(Debug)]
+struct Window {
+    size: usize,
+    cap: usize,
+    /// The first seq sent after the last cut.
+    recover_seq: u32,
+    /// No `BUSY` seen yet.
+    opening: bool,
+    /// Clean replies since the window last grew, after the first cut.
+    clean: usize,
+}
+
+impl Window {
+    fn new(cap: usize) -> Self {
+        Window {
+            size: INITIAL_WINDOW.min(cap),
+            cap,
+            recover_seq: 0,
+            opening: true,
+            clean: 0,
+        }
+    }
+
+    fn on_clean_reply(&mut self) {
+        self.clean += 1;
+        if self.opening || self.clean >= self.size {
+            self.clean = 0;
+            self.size = (self.size + 1).min(self.cap);
+        }
+    }
+
+    /// A `BUSY` for request `seq`; `next_seq` is the seq the next send
+    /// would take.
+    fn on_busy(&mut self, seq: u32, next_seq: u32) {
+        // Wrapping order: `seq` was sent at or after `recover_seq`.
+        if (seq.wrapping_sub(self.recover_seq) as i32) >= 0 {
+            self.size = (self.size / 2).max(1);
+            self.recover_seq = next_seq;
+            self.opening = false;
+            self.clean = 0;
+        }
+    }
+}
+
+/// One hot connection: a nonblocking socket, its poller, and every
+/// request it owes an answer for, from first send to final answer.
+struct HotConn {
+    stream: TcpStream,
+    poller: Poller,
+    frames: FrameBuf,
+    out: Vec<u8>,
+    /// Bytes of `out` the socket has taken.
+    out_at: usize,
+    writable_armed: bool,
+    inflight: InFlight,
+    /// `BUSY`-bounced requests, earliest resend time first.
+    parked: BinaryHeap<Reverse<(u64, Pending)>>,
+    window: Window,
+    epoch: Instant,
+    rng: StdRng,
+    cfg: LoadgenConfig,
+    /// `Some(block_bytes)` drives the data plane (`READ_DATA`/
+    /// `WRITE_DATA`); `None` is the metadata protocol.
+    data: Option<usize>,
+    scratch: Vec<u8>,
+    stats: ConnStats,
+    hist: IntervalHistogram,
+}
+
+impl HotConn {
+    fn connect(cfg: &LoadgenConfig, conn: usize) -> io::Result<Self> {
+        let stream = TcpStream::connect(&cfg.addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.register(stream.as_raw_fd(), 0, Interest::Readable)?;
+        let data = cfg.payload.then_some(cfg.block_bytes.max(1));
+        let cap = data.map_or(WINDOW_CAP, |_| PAYLOAD_WINDOW_CAP);
+        let seed = cfg.seed ^ (conn as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Ok(HotConn {
+            stream,
+            poller,
+            frames: FrameBuf::new(),
+            out: Vec::with_capacity(SEND_CHUNK + 64),
+            out_at: 0,
+            writable_armed: false,
+            inflight: InFlight::new(cap),
+            parked: BinaryHeap::new(),
+            window: Window::new(cap),
+            epoch: Instant::now(),
+            rng: StdRng::seed_from_u64(seed),
+            cfg: cfg.clone(),
+            data,
+            scratch: Vec::new(),
+            stats: ConnStats::default(),
+            hist: latency_histogram(),
+        })
+    }
+
+    /// Requests sent or parked and not yet answered.
+    fn outstanding(&self) -> usize {
+        self.inflight.len + self.parked.len()
+    }
+
+    /// Files `p` in the in-flight table and encodes it onto `out`. A
+    /// write's image bytes are regenerated on the spot: nothing sent is
+    /// ever stored, so a resend costs what a first send does.
+    fn send(&mut self, mut p: Pending, now_ns: u64) {
+        p.sent_ns = now_ns;
+        let seq = self.inflight.insert(p);
+        let (disk, block, blocks, write) = (p.disk, p.block, p.blocks, p.write);
+        match self.data {
+            None => {
+                let io = Request::Io {
+                    seq,
+                    write,
+                    disk,
+                    block,
+                    blocks,
+                };
+                encode_request(&io, &mut self.out);
+            }
+            Some(bb) => {
+                self.scratch.clear();
+                if write {
+                    image_payload(disk, block, blocks, bb, &mut self.scratch);
+                }
+                encode_data_request(
+                    seq,
+                    write,
+                    disk,
+                    block,
+                    blocks,
+                    &self.scratch,
+                    &mut self.out,
+                );
+            }
+        }
+    }
+
+    /// Writes what the socket takes; arms writable interest for the
+    /// rest.
+    fn flush(&mut self) -> io::Result<()> {
+        while self.out_at < self.out.len() {
+            match self.stream.write(&self.out[self.out_at..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.out_at += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let backlog = self.out_at < self.out.len();
+        if !backlog {
+            self.out.clear();
+            self.out_at = 0;
+        }
+        if backlog != self.writable_armed {
+            let interest = if backlog {
+                Interest::Both
+            } else {
+                Interest::Readable
+            };
+            self.poller.modify(self.stream.as_raw_fd(), 0, interest)?;
+            self.writable_armed = backlog;
+        }
+        Ok(())
+    }
+
+    /// Reads the socket dry and settles every complete reply.
+    fn read_replies(&mut self) -> io::Result<()> {
+        loop {
+            match self.frames.read_from(&mut self.stream) {
+                Ok(0) => {
+                    let n = self.outstanding();
+                    let msg = format!("server closed the connection with {n} requests unanswered");
+                    return Err(error(ErrorKind::UnexpectedEof, msg));
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+            let now_ns = self.epoch.elapsed().as_nanos() as u64;
+            while let Some(resp) = self.frames.next_response().map_err(invalid_data)? {
+                self.settle(resp, now_ns)?;
+            }
+        }
+    }
+
+    fn settle(&mut self, resp: Response, now_ns: u64) -> io::Result<()> {
+        let (seq, hit) = match &resp {
+            Response::Io { seq, hit, .. } | Response::Data { seq, hit, .. } => (*seq, Some(*hit)),
+            Response::Busy { seq, .. } | Response::Corrupt { seq } => (*seq, None),
+            // STATS and SHUTDOWN replies answer no load request.
+            Response::Stats { .. } | Response::Shutdown { .. } => return Ok(()),
         };
-        for record in records {
-            // Check the clock often enough for the deadline to bite
-            // without paying a syscall per request, and pick up bounced
-            // requests on the same cadence.
-            if sent.is_multiple_of(512) {
-                if Instant::now() >= deadline {
-                    hit_deadline = true;
-                    break;
+        let stray = || invalid_data(format!("reply for seq {seq}, which is not in flight"));
+        let mut p = self.inflight.take(seq).ok_or_else(stray)?;
+        match resp {
+            Response::Busy { .. } => {
+                self.stats.busy += 1;
+                self.window.on_busy(seq, self.inflight.next_seq);
+                if p.attempt >= self.cfg.retry_budget {
+                    self.stats.exhausted += 1;
+                } else {
+                    p.attempt += 1;
+                    let due = now_ns + self.backoff_ns(p.attempt);
+                    self.parked.push(Reverse((due, p)));
                 }
-                pending.extend(retry_rx.try_iter());
-                retries += resend_round(
-                    &mut pending,
-                    &mut write_half,
-                    &mut buf,
-                    &mut scratch,
-                    &mut seq,
-                    start,
-                    &ring,
-                    &meta,
-                    &outstanding,
-                    &mut rng,
-                    &knobs,
-                )?;
+                return Ok(());
             }
-            if let Some(gap) = pace_ns {
-                let target = start + Duration::from_nanos(sent * gap);
-                if !buf.is_empty() && Instant::now() < target {
-                    write_half.write_all(&buf)?;
-                    buf.clear();
-                }
-                // A paced stream can sit in this wait far longer than
-                // the 512-send clock cadence above — without its own
-                // deadline check, --trace --secs overshoots by up to
-                // 512 paced gaps.
-                while Instant::now() < target {
-                    if Instant::now() >= deadline {
-                        hit_deadline = true;
-                        break;
+            // Detected server-side and counted there too; the request is
+            // answered, not retried.
+            Response::Corrupt { .. } => self.stats.corrupt += 1,
+            Response::Data { payload, .. } => {
+                self.stats.payload_bytes += payload.len() as u64;
+                if let Some(bb) = self.data {
+                    // Verify the reply against the deterministic image:
+                    // CRC first, then exact bytes.
+                    self.scratch.clear();
+                    image_payload(p.disk, p.block, p.blocks, bb, &mut self.scratch);
+                    if crc32c(&payload) != crc32c(&self.scratch) || payload != self.scratch {
+                        self.stats.verify_failures += 1;
                     }
-                    std::thread::yield_now();
-                }
-                if hit_deadline {
-                    break;
                 }
             }
-            while outstanding.load(Ordering::Relaxed) >= window {
-                if !buf.is_empty() {
-                    write_half.write_all(&buf)?;
-                    buf.clear();
-                }
-                std::thread::yield_now();
-                if Instant::now() >= deadline {
-                    hit_deadline = true;
+            _ => {}
+        }
+        if let Some(hit) = hit {
+            let lat_ns = now_ns.saturating_sub(p.sent_ns);
+            self.stats.lat_ns_total += lat_ns;
+            self.hist
+                .record(SimDuration::from_micros((lat_ns / 1_000).max(1)));
+            self.stats.responses += 1;
+            self.stats.hits += u64::from(hit);
+        }
+        self.window.on_clean_reply();
+        Ok(())
+    }
+
+    /// The capped exponential backoff before resend `attempt` (≥ 1),
+    /// with jitter so connections do not resynchronize.
+    fn backoff_ns(&mut self, attempt: u32) -> u64 {
+        let first = self.cfg.backoff_us.max(1);
+        let us = first
+            .saturating_mul(1u64 << (attempt - 1).min(20))
+            .min(self.cfg.backoff_cap_us.max(first));
+        ((us as f64 * self.rng.gen_range(0.5..1.5)) as u64).max(1) * 1_000
+    }
+
+    /// Drives `records` until the deadline or the source runs dry, then
+    /// drains: resends bounced requests until every one is answered or
+    /// exhausted, for at most `io_timeout` past the deadline.
+    fn run(
+        mut self,
+        mut records: Box<dyn Iterator<Item = Record> + Send>,
+        deadline: Instant,
+        pace_ns: Option<u64>,
+    ) -> io::Result<(ConnStats, IntervalHistogram)> {
+        let grace = self.cfg.io_timeout.max(Duration::from_millis(100));
+        let mut first_sends = 0u64;
+        let mut events = Vec::new();
+        // Set once no fresh record will go out: the end of the drain.
+        let mut drain_by: Option<Instant> = None;
+        loop {
+            let now = Instant::now();
+            let now_ns = now.duration_since(self.epoch).as_nanos() as u64;
+            if drain_by.is_none() && now >= deadline {
+                self.stats.deadline_stops = 1;
+                drain_by = Some(now + grace);
+            }
+            while self
+                .parked
+                .peek()
+                .is_some_and(|Reverse((due, _))| *due <= now_ns)
+            {
+                let Reverse((_, p)) = self.parked.pop().expect("peeked");
+                self.stats.retries += 1;
+                self.send(p, now_ns);
+            }
+            // Fresh records while the window has room. A paced record
+            // waits for its slot; the wait ends at the deadline check
+            // above, so a paced --trace run cannot overshoot --secs.
+            let mut pace_wait = None;
+            while drain_by.is_none()
+                && self.outstanding() < self.window.size
+                && self.out.len() - self.out_at < SEND_CHUNK
+            {
+                let slot_ns = pace_ns.map_or(0, |gap| first_sends * gap);
+                if slot_ns > now_ns {
+                    pace_wait = Some(self.epoch + Duration::from_nanos(slot_ns));
                     break;
                 }
+                let Some(record) = records.next() else {
+                    drain_by = Some(deadline.max(now) + grace);
+                    break;
+                };
+                let mut blocks = u16::try_from(record.blocks).unwrap_or(u16::MAX);
+                if self.data.is_some() {
+                    blocks = blocks.clamp(1, MAX_DATA_BLOCKS);
+                }
+                let p = Pending {
+                    seq: 0,
+                    sent_ns: 0,
+                    disk: record.block.disk().index(),
+                    block: record.block.block().number(),
+                    blocks,
+                    write: record.op == IoOp::Write,
+                    attempt: 0,
+                };
+                self.send(p, now_ns);
+                first_sends += 1;
             }
-            // A full window at the deadline ends the run; sending one
-            // more record anyway would push past both bounds.
-            if hit_deadline {
+            self.flush()?;
+
+            if drain_by.is_some() && self.outstanding() == 0 {
                 break;
             }
-            let slot = seq as usize % RING;
-            ring[slot].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let write = record.op == IoOp::Write;
-            let disk = record.block.disk().index();
-            let block = record.block.block().number();
-            let mut blocks = u16::try_from(record.blocks).unwrap_or(u16::MAX);
-            if knobs.data.is_some() {
-                blocks = blocks.clamp(1, MAX_DATA_BLOCKS);
+            if drain_by.is_some_and(|by| now > by) {
+                let n = self.outstanding();
+                let msg = format!(
+                    "server went silent: {n} requests still unanswered after the drain grace"
+                );
+                return Err(error(ErrorKind::TimedOut, msg));
             }
-            meta[slot]
-                .0
-                .store(pack_meta(disk, blocks, 0, write), Ordering::Relaxed);
-            meta[slot].1.store(block, Ordering::Relaxed);
-            encode_load_request(
-                seq,
-                write,
-                disk,
-                block,
-                blocks,
-                knobs.data,
-                &mut scratch,
-                &mut buf,
-            );
-            seq = seq.wrapping_add(1);
-            sent += 1;
-            outstanding.fetch_add(1, Ordering::AcqRel);
-            if buf.len() >= SEND_CHUNK {
-                write_half.write_all(&buf)?;
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            write_half.write_all(&buf)?;
-            buf.clear();
-        }
-
-        // Drain: keep resending bounced requests until every send has
-        // been answered. The grace period is the socket timeout — the
-        // same budget we give a silent server elsewhere; giving up
-        // flips `abort` so the receiver stops waiting for stragglers.
-        let drain_deadline =
-            deadline.max(Instant::now()) + knobs.io_timeout.max(Duration::from_millis(100));
-        loop {
-            pending.extend(retry_rx.try_iter());
-            if pending.is_empty() {
-                if outstanding.load(Ordering::Acquire) <= 0 {
-                    // Every enqueue precedes its decrement, so with the
-                    // count at zero one more look at the channel is
-                    // conclusive.
-                    pending.extend(retry_rx.try_iter());
-                    if pending.is_empty() {
-                        break;
-                    }
-                } else {
-                    match retry_rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(r) => pending.push(r),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-            retries += resend_round(
-                &mut pending,
-                &mut write_half,
-                &mut buf,
-                &mut scratch,
-                &mut seq,
-                start,
-                &ring,
-                &meta,
-                &outstanding,
-                &mut rng,
-                &knobs,
-            )?;
-            if Instant::now() > drain_deadline {
-                abort.store(true, Ordering::Release);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!(
-                        "server went silent: {} requests still unanswered after the drain grace",
-                        outstanding.load(Ordering::Acquire).max(0)
-                    ),
-                ));
+            // Sleep until a reply, a writable socket, or the next thing
+            // due: a parked resend, a paced slot, the deadline or the
+            // drain's end. No sleep while fresh records can go out now.
+            let can_send = drain_by.is_none()
+                && pace_wait.is_none()
+                && self.outstanding() < self.window.size
+                && self.out.is_empty();
+            let resend_at = self
+                .parked
+                .peek()
+                .map(|Reverse((due, _))| self.epoch + Duration::from_nanos(*due));
+            let wake = [pace_wait, resend_at]
+                .into_iter()
+                .flatten()
+                .fold(drain_by.unwrap_or(deadline), Instant::min);
+            // Round up so a sub-millisecond wait still sleeps.
+            let wait = wake.saturating_duration_since(now).as_micros();
+            let ms = u32::try_from(wait.div_ceil(1_000)).unwrap_or(u32::MAX);
+            events.clear();
+            self.poller
+                .wait(&mut events, Some(if can_send { 0 } else { ms }))?;
+            if events.iter().any(|ev| ev.readable || ev.error) {
+                self.read_replies()?;
             }
         }
-        Ok((sent, retries, hit_deadline))
-    })();
-
-    if send_result.is_err() {
-        abort.store(true, Ordering::Release);
+        self.stats.sent = first_sends + self.stats.retries;
+        self.stats.window = self.window.size as u64;
+        Ok((self.stats, self.hist))
     }
-    sender_done.store(true, Ordering::Release);
-    let recv_result = receiver
-        .join()
-        .map_err(|_| std::io::Error::other("receiver panicked"))?;
-    let (sent, retries, hit_deadline) = send_result?;
-    let (mut stats, hist) = recv_result?;
-    stats.sent = sent + retries;
-    stats.retries = retries;
-    stats.hit_deadline = hit_deadline;
-    Ok((stats, hist))
 }
 
 /// The closing report of a deterministic in-process run: client-side
@@ -1210,18 +1102,89 @@ mod tests {
         assert!(r1.hits > 0, "a 4k-request zipf stream must hit sometimes");
     }
 
+    fn pending(attempt: u32) -> Pending {
+        Pending {
+            seq: 0,
+            sent_ns: 0,
+            disk: 3,
+            block: 17,
+            blocks: 1,
+            write: false,
+            attempt,
+        }
+    }
+
     #[test]
-    fn retry_metadata_packs_and_unpacks() {
-        let w1 = pack_meta(7, 16, 3, true);
-        assert_eq!((w1 >> 32) as u32, 7);
-        assert_eq!((w1 >> 16) as u16, 16);
-        assert_eq!(((w1 >> 1) & 0x7FFF) as u32, 3);
-        assert_eq!(w1 & 1, 1);
-        let w2 = pack_meta(u32::MAX, u16::MAX, 0x7FFF, false);
-        assert_eq!((w2 >> 32) as u32, u32::MAX);
-        assert_eq!((w2 >> 16) as u16, u16::MAX);
-        assert_eq!(((w2 >> 1) & 0x7FFF) as u32, 0x7FFF);
-        assert_eq!(w2 & 1, 0);
+    fn reordered_replies_find_their_own_request() {
+        let mut table = InFlight::new(4);
+        assert_eq!(table.slots.len(), 8);
+        let seqs: Vec<u32> = (0..4).map(|i| table.insert(pending(i))).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        // Seq 0 stays unanswered while 1..3 are answered and refilled:
+        // the send that would reuse seq 0's slot skips to the next seq.
+        for seq in 1..4 {
+            assert_eq!(table.take(seq).map(|p| p.attempt), Some(seq));
+        }
+        let fresh: Vec<u32> = (4..8).map(|i| table.insert(pending(i))).collect();
+        assert_eq!(fresh, [4, 5, 6, 7]);
+        table.take(4).unwrap();
+        assert_eq!(table.insert(pending(8)), 9, "slot 0 is still seq 0's");
+        assert_eq!(table.take(0).map(|p| p.attempt), Some(0));
+        // A duplicate or stray reply matches nothing.
+        assert_eq!(table.take(0), None);
+        assert_eq!(table.take(8), None);
+        assert_eq!(table.len, 4);
+    }
+
+    #[test]
+    fn seqs_wrap_around_u32_without_losing_requests() {
+        let mut table = InFlight::new(4);
+        table.next_seq = u32::MAX - 1;
+        let seqs: Vec<u32> = (0..4).map(|i| table.insert(pending(i))).collect();
+        assert_eq!(seqs, [u32::MAX - 1, u32::MAX, 0, 1]);
+        for (i, seq) in seqs.into_iter().enumerate().rev() {
+            assert_eq!(table.take(seq).map(|p| p.attempt), Some(i as u32));
+        }
+        assert_eq!(table.len, 0);
+    }
+
+    #[test]
+    fn window_halves_once_per_round_trip_and_grows_back() {
+        let mut w = Window::new(WINDOW_CAP);
+        assert_eq!(w.size, INITIAL_WINDOW);
+        // Opening: one per clean reply, up to the cap and no further.
+        for _ in 0..WINDOW_CAP {
+            w.on_clean_reply();
+        }
+        assert_eq!(w.size, WINDOW_CAP);
+        // The first BUSY cuts; BUSYs for requests sent before the cut
+        // (seqs below 100) do not cut again.
+        w.on_busy(40, 100);
+        assert_eq!(w.size, WINDOW_CAP / 2);
+        w.on_busy(41, 120);
+        w.on_busy(99, 130);
+        assert_eq!(w.size, WINDOW_CAP / 2);
+        // After the cut it grows by one per window of clean replies.
+        for _ in 0..WINDOW_CAP / 2 - 1 {
+            w.on_clean_reply();
+        }
+        assert_eq!(w.size, WINDOW_CAP / 2);
+        w.on_clean_reply();
+        assert_eq!(w.size, WINDOW_CAP / 2 + 1);
+        // A BUSY for a request sent after the cut cuts again.
+        w.on_busy(100, 200);
+        assert_eq!(w.size, WINDOW_CAP / 4);
+        // The window never closes.
+        for seq in 200..240 {
+            w.on_busy(seq, seq + 1);
+        }
+        assert_eq!(w.size, 1);
+        // Payload mode has its own cap.
+        let mut p = Window::new(PAYLOAD_WINDOW_CAP);
+        for _ in 0..4 * PAYLOAD_WINDOW_CAP {
+            p.on_clean_reply();
+        }
+        assert_eq!(p.size, PAYLOAD_WINDOW_CAP);
     }
 
     #[test]
@@ -1239,12 +1202,7 @@ mod tests {
         map.verify_all().unwrap();
         let conns = 3;
         for conn in 0..conns {
-            let dealt: Vec<Record> = StrideCursor {
-                map: Arc::clone(&map),
-                next: conn as u64,
-                stride: conns as u64,
-            }
-            .collect();
+            let dealt: Vec<Record> = stride(Arc::clone(&map), conn, conns).collect();
             let expected: Vec<Record> = records.iter().skip(conn).step_by(conns).copied().collect();
             assert_eq!(dealt, expected, "connection {conn}");
         }

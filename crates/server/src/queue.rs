@@ -28,21 +28,32 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+/// What the queue mutex guards.
+#[derive(Debug)]
+struct Locked<T> {
+    items: VecDeque<(T, usize)>,
+    /// Live [`QueueSender`] handles; 0 + empty queue = disconnected.
+    /// Under the mutex, so the last sender's drop cannot fall between
+    /// `pop`'s look at the count and its wait.
+    senders: usize,
+}
+
 /// Shared state behind one shard's queue.
 #[derive(Debug)]
 struct Inner<T> {
-    queue: Mutex<VecDeque<(T, usize)>>,
+    queue: Mutex<Locked<T>>,
     ready: Condvar,
     capacity: usize,
     /// Requests reserved but not yet popped.
     depth: AtomicUsize,
     /// Highest depth ever observed at reserve time.
     high_water: AtomicU64,
-    /// Live [`QueueSender`] handles; 0 + empty queue = disconnected.
-    senders: AtomicUsize,
     /// Cleared when the [`QueueReceiver`] drops: reservations fail
     /// `Closed` from then on.
     receiver_alive: AtomicBool,
+    /// Runs in `pop` between the sender check and the wait.
+    #[cfg(test)]
+    pause_before_wait: tests::Hook,
 }
 
 /// A reservation too small (or a disconnected consumer): the portion of
@@ -83,13 +94,17 @@ pub fn bounded<T>(capacity: usize) -> (QueueSender<T>, QueueReceiver<T>) {
         "a shard queue needs capacity for at least one request"
     );
     let inner = Arc::new(Inner {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Locked {
+            items: VecDeque::new(),
+            senders: 1,
+        }),
         ready: Condvar::new(),
         capacity,
         depth: AtomicUsize::new(0),
         high_water: AtomicU64::new(0),
-        senders: AtomicUsize::new(1),
         receiver_alive: AtomicBool::new(true),
+        #[cfg(test)]
+        pause_before_wait: tests::Hook::default(),
     });
     (
         QueueSender {
@@ -101,7 +116,7 @@ pub fn bounded<T>(capacity: usize) -> (QueueSender<T>, QueueReceiver<T>) {
 
 impl<T> Clone for QueueSender<T> {
     fn clone(&self) -> Self {
-        self.inner.senders.fetch_add(1, Ordering::Relaxed);
+        self.inner.queue.lock().expect("queue poisoned").senders += 1;
         QueueSender {
             inner: Arc::clone(&self.inner),
         }
@@ -110,8 +125,17 @@ impl<T> Clone for QueueSender<T> {
 
 impl<T> Drop for QueueSender<T> {
     fn drop(&mut self) {
-        if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender gone: wake the consumer so it can drain + exit.
+        // No panic in a drop: a poisoned queue still holds a valid count.
+        let mut q = self
+            .inner
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        q.senders -= 1;
+        if q.senders == 0 {
+            // Last sender gone: wake the consumer so it can drain +
+            // exit. Notified under the lock, so a consumer between its
+            // sender check and its wait cannot miss it.
             self.inner.ready.notify_all();
         }
     }
@@ -152,7 +176,7 @@ impl<T> QueueSender<T> {
     /// granted count.
     pub fn push_reserved(&self, item: T, weight: usize) {
         let mut q = self.inner.queue.lock().expect("queue poisoned");
-        q.push_back((item, weight));
+        q.items.push_back((item, weight));
         drop(q);
         self.inner.ready.notify_one();
     }
@@ -167,7 +191,7 @@ impl<T> QueueSender<T> {
         if !self.inner.receiver_alive.load(Ordering::Relaxed) {
             return;
         }
-        q.push_back((item, 0));
+        q.items.push_back((item, 0));
         drop(q);
         self.inner.ready.notify_one();
     }
@@ -194,15 +218,17 @@ impl<T> QueueReceiver<T> {
     pub fn pop(&self) -> Option<T> {
         let mut q = self.inner.queue.lock().expect("queue poisoned");
         loop {
-            if let Some((item, weight)) = q.pop_front() {
+            if let Some((item, weight)) = q.items.pop_front() {
                 if weight > 0 {
                     self.inner.depth.fetch_sub(weight, Ordering::Relaxed);
                 }
                 return Some(item);
             }
-            if self.inner.senders.load(Ordering::Acquire) == 0 {
+            if q.senders == 0 {
                 return None;
             }
+            #[cfg(test)]
+            self.inner.pause_before_wait.run();
             q = self.inner.ready.wait(q).expect("queue poisoned");
         }
     }
@@ -223,6 +249,63 @@ impl<T> QueueReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A test's pause inside `pop`, set at most once; none by default.
+    #[derive(Default)]
+    pub(super) struct Hook(std::sync::OnceLock<Box<dyn Fn() + Send + Sync>>);
+
+    impl Hook {
+        pub(super) fn run(&self) {
+            if let Some(pause) = self.0.get() {
+                pause();
+            }
+        }
+    }
+
+    impl std::fmt::Debug for Hook {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("Hook")
+        }
+    }
+
+    #[test]
+    fn the_last_sender_dropped_while_pop_heads_for_its_wait_still_wakes_it() {
+        // `pop` has seen a live sender and is about to wait; the pause
+        // lets the test drop the last sender right there. A drop that
+        // neither takes the lock nor notifies under it finds no waiter,
+        // and `pop` sleeps forever. The pause waits for the drop only
+        // so long, because a drop that takes the lock cannot finish
+        // until `pop` waits.
+        let (in_window_tx, in_window) = mpsc::channel::<()>();
+        let (dropped_tx, dropped) = mpsc::channel::<()>();
+        let in_window_tx = std::sync::Mutex::new(in_window_tx);
+        let dropped = std::sync::Mutex::new(dropped);
+        let (tx, rx) = bounded::<u32>(4);
+        let pause = Box::new(move || {
+            in_window_tx.lock().unwrap().send(()).ok();
+            let _ = dropped
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_millis(200));
+        });
+        assert!(rx.inner.pause_before_wait.0.set(pause).is_ok());
+        let (popped_tx, popped) = mpsc::channel();
+        // Not joined on failure: a missed wake-up leaves it asleep.
+        let consumer = std::thread::spawn(move || popped_tx.send(rx.pop()).ok());
+        in_window
+            .recv_timeout(Duration::from_secs(2))
+            .expect("pop reached its wait");
+        drop(tx);
+        dropped_tx.send(()).ok();
+        assert_eq!(
+            popped.recv_timeout(Duration::from_secs(2)),
+            Ok(None),
+            "pop missed the last sender's wake-up"
+        );
+        consumer.join().unwrap();
+    }
 
     #[test]
     fn reserve_splits_exactly_at_capacity() {

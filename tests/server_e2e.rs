@@ -189,6 +189,53 @@ fn tcp_overload_bounces_busy_and_closes_the_books() {
 }
 
 #[test]
+fn the_client_window_converges_on_what_the_server_admits() {
+    // Two shards admitting 64 requests each, far below the 32 k a
+    // connection may keep in flight: an unpaced closed loop must learn
+    // the server's admission from BUSY, so that backing off absorbs
+    // every bounce and no request runs out of retries.
+    let engine = EngineConfig::new(2, 4).with_queue_bound(64);
+    let server = Server::bind("127.0.0.1:0", engine).expect("bind loopback");
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = server.stop_flag();
+    let daemon = std::thread::spawn(move || server.run().expect("server run"));
+
+    let report = run_tcp(&LoadgenConfig {
+        conns: 4,
+        secs: 0.5,
+        ..LoadgenConfig::new(addr)
+    })
+    .expect("load generation");
+
+    assert_eq!(
+        report.exhausted,
+        0,
+        "backoff must absorb every BUSY: {}",
+        report.render()
+    );
+    assert_eq!(
+        report.sent,
+        report.responses + report.busy_rejects,
+        "every send must be answered exactly once (IO or BUSY)"
+    );
+    assert!(report.responses > 0, "no responses came back");
+    assert!(
+        report.window_min >= 1 && report.window_max < 32 * 1024,
+        "every window must end below the cap: {}..{}",
+        report.window_min,
+        report.window_max
+    );
+
+    stop.store(true, Ordering::Relaxed);
+    let run = daemon.join().expect("daemon thread");
+    assert_eq!(
+        run.snapshot.total_requests(),
+        report.responses,
+        "books must close over exactly the admitted requests"
+    );
+}
+
+#[test]
 fn payload_mode_round_trips_verified_block_contents() {
     // The protocol-v2 data plane end to end: WRITE_DATA carries real
     // block contents into the slab store, READ_DATA serves CRC-verified
