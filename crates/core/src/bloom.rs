@@ -42,7 +42,6 @@ pub struct BloomFilter {
     /// Number of 512-bit lines minus one (line count is a power of two).
     line_mask: u64,
     hashes: u32,
-    insertions: u64,
 }
 
 impl BloomFilter {
@@ -60,17 +59,7 @@ impl BloomFilter {
             bits: vec![0; bits / 64],
             line_mask: bits as u64 / LINE_BITS - 1,
             hashes,
-            insertions: 0,
         }
-    }
-
-    /// Sizing matched to the paper's example: for `expected` distinct
-    /// blocks, allocate ≈ 3.2 bits per block and 4 hashes (the paper's
-    /// "M = 4 MB for 10⁷ blocks" works out to ~3.2 bits/block at their
-    /// false-positive target).
-    #[must_use]
-    pub fn for_expected_blocks(expected: usize) -> Self {
-        BloomFilter::new(expected.saturating_mul(4).max(1 << 10), 4)
     }
 
     /// Returns `true` if `block` was possibly inserted before, then
@@ -98,7 +87,6 @@ impl BloomFilter {
                 self.bits[i1] |= m1;
                 self.bits[i2] |= m2;
                 self.bits[i3] |= m3;
-                self.insertions += 1;
             }
             return present;
         }
@@ -110,9 +98,6 @@ impl BloomFilter {
                 present = false;
                 self.bits[word] |= 1 << shift;
             }
-        }
-        if !present {
-            self.insertions += 1;
         }
         present
     }
@@ -126,12 +111,6 @@ impl BloomFilter {
             let bit = h1.wrapping_add(k.wrapping_mul(h2)) % LINE_BITS;
             self.bits[base + (bit / 64) as usize] & (1 << (bit % 64)) != 0
         })
-    }
-
-    /// Number of definite first sightings recorded so far.
-    #[must_use]
-    pub fn distinct_insertions(&self) -> u64 {
-        self.insertions
     }
 
     /// First word index of the probe line for `h1`. The line is chosen
@@ -181,7 +160,8 @@ mod tests {
 
     #[test]
     fn low_false_positive_rate_when_sized_well() {
-        let mut f = BloomFilter::for_expected_blocks(10_000);
+        // 10 000 blocks at four bits each (rounded up to 2^16), four hashes.
+        let mut f = BloomFilter::new(40_000, 4);
         for i in 0..10_000u64 {
             f.insert_check(blk(0, i));
         }
@@ -194,15 +174,6 @@ mod tests {
         }
         let rate = fp as f64 / probes as f64;
         assert!(rate < 0.05, "false positive rate {rate}");
-    }
-
-    #[test]
-    fn distinct_insertions_counts_first_sightings() {
-        let mut f = BloomFilter::new(1 << 12, 4);
-        f.insert_check(blk(0, 1));
-        f.insert_check(blk(0, 1));
-        f.insert_check(blk(0, 2));
-        assert_eq!(f.distinct_insertions(), 2);
     }
 
     #[test]
@@ -221,11 +192,10 @@ mod tests {
     #[test]
     fn unrolled_four_hash_path_matches_the_generic_loop() {
         // Reference: the generic probe loop, replayed on a shadow bit
-        // array. The unrolled fast path must produce identical bits,
-        // identical return values and an identical insertion count.
+        // array. The unrolled fast path must produce identical bits and
+        // identical return values.
         let mut f = BloomFilter::new(1 << 12, 4);
         let mut shadow = vec![0u64; (1usize << 12) / 64];
-        let mut shadow_insertions = 0u64;
         let mut state = 0x5EEDu64;
         for _ in 0..20_000 {
             state ^= state << 13;
@@ -243,13 +213,9 @@ mod tests {
                     shadow[word] |= 1 << shift;
                 }
             }
-            if !present {
-                shadow_insertions += 1;
-            }
             assert_eq!(f.insert_check(block), present);
         }
         assert_eq!(f.bits, shadow);
-        assert_eq!(f.distinct_insertions(), shadow_insertions);
     }
 
     #[test]

@@ -83,12 +83,14 @@ impl ArcPolicy {
     }
 
     /// Current adaptation target for T1 (diagnostic).
+    #[cfg(test)]
     #[must_use]
     pub fn recency_target(&self) -> f64 {
         self.p
     }
 
     /// Sizes of (T1, T2, B1, B2) (diagnostic).
+    #[cfg(test)]
     #[must_use]
     pub fn list_sizes(&self) -> (usize, usize, usize, usize) {
         (self.t1.len(), self.t2.len(), self.b1.len(), self.b2.len())

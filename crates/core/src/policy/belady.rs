@@ -108,6 +108,7 @@ impl ReplacementPolicy for Belady {
 
 /// Convenience: MIN's miss count for a trace and cache size, the paper's
 /// lower bound on misses.
+#[cfg(test)]
 #[must_use]
 pub fn min_misses(trace: &Trace, capacity: usize) -> u64 {
     use crate::{BlockCache, WritePolicy};

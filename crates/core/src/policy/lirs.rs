@@ -102,6 +102,7 @@ impl Lirs {
     }
 
     /// Sizes of (LIR set, resident HIR queue, stack `S`) — diagnostic.
+    #[cfg(test)]
     #[must_use]
     pub fn sizes(&self) -> (usize, usize, usize) {
         (self.lir_count, self.q.len(), self.s.len())

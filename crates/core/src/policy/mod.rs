@@ -37,7 +37,7 @@ mod pa_lru;
 mod two_q;
 
 pub use arc::ArcPolicy;
-pub use belady::{min_misses, Belady};
+pub use belady::Belady;
 pub use classifier::DiskClassifier;
 pub use fifo::Fifo;
 pub use lirs::Lirs;

@@ -904,7 +904,10 @@ mod tests {
         // cold miss, so most penalties are 0 and OPG evicts like MIN; the
         // sparse slice gives the energy pricing room to decide.
         let dense = pc_trace::CelloConfig::default().with_requests(20_000);
-        let sparse = dense.clone().with_mean_gap(SimDuration::from_millis(800));
+        let sparse = pc_trace::CelloConfig {
+            mean_gap: SimDuration::from_millis(800),
+            ..dense.clone()
+        };
         let pins = [
             (&dense, OpgDpm::Oracle, 55_569, 0x0cf0_3941_dbc8_45ee),
             (&dense, OpgDpm::Practical, 55_569, 0x0cf0_3941_dbc8_45ee),

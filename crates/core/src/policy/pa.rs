@@ -68,6 +68,7 @@ impl<P: ReplacementPolicy> Pa<P> {
     }
 
     /// Sizes of the (regular, priority) instances.
+    #[cfg(test)]
     #[must_use]
     pub fn class_sizes(&self) -> (usize, usize) {
         (self.regular_len, self.priority_len)

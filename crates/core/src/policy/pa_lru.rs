@@ -110,6 +110,7 @@ impl PaLru {
     }
 
     /// Sizes of (LRU0, LRU1).
+    #[cfg(test)]
     #[must_use]
     pub fn stack_sizes(&self) -> (usize, usize) {
         (self.stacks.len(LRU0), self.stacks.len(LRU1))

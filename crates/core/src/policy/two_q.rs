@@ -65,6 +65,7 @@ impl TwoQ {
     }
 
     /// Sizes of (`A1in`, `A1out`, `Am`) — diagnostic.
+    #[cfg(test)]
     #[must_use]
     pub fn sizes(&self) -> (usize, usize, usize) {
         (self.a1in.len(), self.ghost_order.len(), self.am.len())

@@ -9,8 +9,8 @@
 //! init and no lazy statics) let the inner loop fold eight input bytes
 //! per iteration with eight independent table loads. Both kernels
 //! produce the same value for every input — the tests pin each against
-//! [`crc32c_bitwise`] and against each other over randomized lengths,
-//! alignments and starting values.
+//! `bitwise_append`, a textbook bit-at-a-time oracle, and against each
+//! other over randomized lengths, alignments and starting values.
 //!
 //! The crate is dependency-free and `#![deny(unsafe_code)]`. The one
 //! exception is the call into the SSE4.2 kernel, which is `unsafe` only
@@ -152,11 +152,8 @@ fn slice_by_8_append(crc: u32, data: &[u8]) -> u32 {
 }
 
 /// Textbook bit-at-a-time CRC32C. The correctness oracle both kernels'
-/// tests compare against; never used on a hot path.
-pub fn crc32c_bitwise(data: &[u8]) -> u32 {
-    bitwise_append(0, data)
-}
-
+/// tests compare against.
+#[cfg(test)]
 fn bitwise_append(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
     for &byte in data {

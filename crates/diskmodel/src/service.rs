@@ -25,21 +25,6 @@ impl ServiceRequest {
     }
 }
 
-/// One zone of a multi-zone (zoned-bit-recording) disk: a contiguous
-/// range of cylinders sharing a sectors-per-track count. Outer zones
-/// pack more blocks per track and therefore transfer faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Zone {
-    /// First block of the zone.
-    pub first_block: u64,
-    /// First cylinder of the zone.
-    pub first_cylinder: u64,
-    /// Blocks per cylinder inside this zone.
-    pub blocks_per_cylinder: u64,
-    /// Blocks that pass under the head per rotation inside this zone.
-    pub blocks_per_track: u64,
-}
-
 /// Mechanical timing parameters of one disk.
 ///
 /// # Examples
@@ -54,12 +39,11 @@ pub struct Zone {
 /// assert!(t.total.as_millis_f64() > 0.1 && t.total.as_millis_f64() < 15.0);
 /// assert!(t.seek < t.total);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceModel {
     /// Size of one block, in bytes.
     pub block_bytes: u64,
-    /// Sustained transfer rate, in bytes per second (used when `zones`
-    /// is empty; zoned models derive per-zone rates instead).
+    /// Sustained transfer rate, in bytes per second.
     pub transfer_rate: f64,
     /// Track-to-track (minimum non-zero) seek time.
     pub track_seek: SimDuration,
@@ -67,14 +51,10 @@ pub struct ServiceModel {
     pub full_seek: SimDuration,
     /// Number of cylinders.
     pub cylinders: u64,
-    /// Blocks per cylinder (derived from capacity; for zoned models this
-    /// is the mean, used only as a fallback).
+    /// Blocks per cylinder (derived from capacity).
     pub blocks_per_cylinder: u64,
     /// Time of one full platter rotation at full speed.
     pub rotation: SimDuration,
-    /// Zoned-bit-recording table, outermost (fastest) zone first. Empty =
-    /// the flat single-zone model.
-    pub zones: Vec<Zone>,
 }
 
 impl ServiceModel {
@@ -93,7 +73,6 @@ impl ServiceModel {
             cylinders,
             blocks_per_cylinder: capacity_blocks.div_ceil(cylinders),
             rotation: SimDuration::from_micros(4_000),
-            zones: Vec::new(),
         }
     }
 
@@ -112,80 +91,13 @@ impl ServiceModel {
             cylinders,
             blocks_per_cylinder: capacity_blocks.div_ceil(cylinders),
             rotation: SimDuration::from_micros(14_286),
-            zones: Vec::new(),
         }
-    }
-
-    /// An Ultrastar-like model with `zone_count` recording zones: the
-    /// outermost zone packs ~1.4× the mean linear density, the innermost
-    /// ~0.65×, declining linearly — so low block numbers (outer tracks)
-    /// transfer roughly twice as fast as high ones, as on real drives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `zone_count` is zero.
-    #[must_use]
-    pub fn zoned_ultrastar(zone_count: u64) -> Self {
-        assert!(zone_count > 0, "need at least one zone");
-        let mut model = ServiceModel::ultrastar_36z15();
-        let capacity = model.blocks_per_cylinder * model.cylinders;
-        let cylinders_per_zone = model.cylinders / zone_count;
-        // Density weights decline linearly from 1.4 to 0.65, normalized so
-        // the total capacity is preserved.
-        let weights: Vec<f64> = (0..zone_count)
-            .map(|z| {
-                let f = if zone_count == 1 {
-                    0.5
-                } else {
-                    z as f64 / (zone_count - 1) as f64
-                };
-                1.4 - f * 0.75
-            })
-            .collect();
-        let weight_sum: f64 = weights.iter().sum();
-        let mut zones = Vec::with_capacity(zone_count as usize);
-        let mut first_block = 0u64;
-        for (z, w) in weights.iter().enumerate() {
-            let zone_blocks = (capacity as f64 * w / weight_sum).round() as u64;
-            let bpc = (zone_blocks / cylinders_per_zone.max(1)).max(1);
-            // Five recording surfaces: calibrated so the capacity-mean
-            // zone rate matches the flat model's 52 MB/s.
-            let bpt = (bpc / 5).max(1);
-            zones.push(Zone {
-                first_block,
-                first_cylinder: z as u64 * cylinders_per_zone,
-                blocks_per_cylinder: bpc,
-                blocks_per_track: bpt,
-            });
-            first_block += zone_blocks;
-        }
-        model.zones = zones;
-        model
-    }
-
-    /// The zone holding a block (zoned models only).
-    #[must_use]
-    pub fn zone_of(&self, block: BlockNo) -> Option<&Zone> {
-        if self.zones.is_empty() {
-            return None;
-        }
-        let idx = self
-            .zones
-            .partition_point(|z| z.first_block <= block.number())
-            .saturating_sub(1);
-        Some(&self.zones[idx])
     }
 
     /// Returns the cylinder holding a block.
     #[must_use]
     pub fn cylinder_of(&self, block: BlockNo) -> u64 {
-        match self.zone_of(block) {
-            Some(zone) => {
-                let offset = (block.number() - zone.first_block) / zone.blocks_per_cylinder;
-                (zone.first_cylinder + offset).min(self.cylinders - 1)
-            }
-            None => (block.number() / self.blocks_per_cylinder).min(self.cylinders - 1),
-        }
+        (block.number() / self.blocks_per_cylinder).min(self.cylinders - 1)
     }
 
     /// Seek time between two cylinders: zero for the same cylinder,
@@ -214,25 +126,7 @@ impl ServiceModel {
         SimDuration::from_micros(if micros == 0 { 0 } else { z % micros })
     }
 
-    /// Pure data-transfer time for `blocks` blocks starting at `at`
-    /// (zone-dependent for zoned models: outer tracks stream faster).
-    #[must_use]
-    pub fn transfer_time_at(&self, at: BlockNo, blocks: u64) -> SimDuration {
-        match self.zone_of(at) {
-            Some(zone) => {
-                // One rotation moves `blocks_per_track` blocks past the
-                // head.
-                self.rotation
-                    .mul_f64(blocks as f64 / zone.blocks_per_track as f64)
-            }
-            None => SimDuration::from_secs_f64(
-                blocks as f64 * self.block_bytes as f64 / self.transfer_rate,
-            ),
-        }
-    }
-
-    /// Pure data-transfer time for `blocks` blocks (flat-model rate; for
-    /// zoned models prefer [`ServiceModel::transfer_time_at`]).
+    /// Pure data-transfer time for `blocks` blocks.
     #[must_use]
     pub fn transfer_time(&self, blocks: u64) -> SimDuration {
         SimDuration::from_secs_f64(blocks as f64 * self.block_bytes as f64 / self.transfer_rate)
@@ -240,7 +134,7 @@ impl ServiceModel {
 
     /// Mechanical service time of a request: seek from the previous head
     /// position (or an average-length seek if unknown), rotational
-    /// latency, and (zone-aware) transfer. The seek is returned on its
+    /// latency, and transfer. The seek is returned on its
     /// own too, since it is drawn at seek power rather than active power.
     #[must_use]
     pub fn service_time(&self, head_at: Option<BlockNo>, request: ServiceRequest) -> ServiceTime {
@@ -255,7 +149,7 @@ impl ServiceModel {
             seek,
             total: seek
                 + self.rotational_latency(request.block)
-                + self.transfer_time_at(request.block, request.blocks),
+                + self.transfer_time(request.blocks),
         }
     }
 }
@@ -360,70 +254,5 @@ mod tests {
         let m = model();
         assert_eq!(m.cylinder_of(BlockNo::new(u64::MAX)), m.cylinders - 1);
         assert_eq!(m.cylinder_of(BlockNo::new(0)), 0);
-    }
-
-    #[test]
-    fn zoned_model_covers_capacity_with_monotone_cylinders() {
-        let m = ServiceModel::zoned_ultrastar(8);
-        assert_eq!(m.zones.len(), 8);
-        let capacity = model().blocks_per_cylinder * model().cylinders;
-        // Zone boundaries are increasing and roughly cover the capacity.
-        for w in m.zones.windows(2) {
-            assert!(w[0].first_block < w[1].first_block);
-            assert!(w[0].first_cylinder < w[1].first_cylinder);
-            assert!(
-                w[0].blocks_per_track > w[1].blocks_per_track,
-                "outer zones are denser"
-            );
-        }
-        let last = m.zones.last().unwrap();
-        let covered =
-            last.first_block + last.blocks_per_cylinder * (m.cylinders - last.first_cylinder);
-        let coverage_error = (covered as f64 - capacity as f64).abs() / capacity as f64;
-        assert!(coverage_error < 0.05, "covered {covered} of {capacity}");
-        // Cylinder mapping is monotone in the block number.
-        let mut prev = 0;
-        for b in (0..capacity).step_by((capacity / 500) as usize) {
-            let c = m.cylinder_of(BlockNo::new(b));
-            assert!(c >= prev, "cylinder map must be monotone");
-            assert!(c < m.cylinders);
-            prev = c;
-        }
-    }
-
-    #[test]
-    fn outer_zones_transfer_faster() {
-        let m = ServiceModel::zoned_ultrastar(8);
-        let capacity = model().blocks_per_cylinder * model().cylinders;
-        let outer = m.transfer_time_at(BlockNo::new(0), 64);
-        let inner = m.transfer_time_at(BlockNo::new(capacity - 1), 64);
-        assert!(
-            inner.as_secs_f64() > outer.as_secs_f64() * 1.5,
-            "inner {inner} vs outer {outer}"
-        );
-        // The flat model sits in between.
-        let flat = model().transfer_time(64);
-        assert!(outer < flat && flat < inner);
-    }
-
-    #[test]
-    fn flat_model_is_unchanged_by_the_zone_machinery() {
-        let m = model();
-        assert!(m.zone_of(BlockNo::new(123)).is_none());
-        assert_eq!(m.transfer_time_at(BlockNo::new(123), 8), m.transfer_time(8));
-    }
-
-    #[test]
-    fn zoned_service_time_is_seek_plus_latency_plus_zone_transfer() {
-        let m = ServiceModel::zoned_ultrastar(4);
-        let req = ServiceRequest {
-            block: BlockNo::new(100),
-            blocks: 32,
-        };
-        let t = m.service_time(Some(BlockNo::new(100)), req);
-        let expected =
-            m.rotational_latency(BlockNo::new(100)) + m.transfer_time_at(BlockNo::new(100), 32);
-        assert_eq!(t.seek, SimDuration::ZERO, "same cylinder: no seek");
-        assert_eq!(t.total, expected);
     }
 }

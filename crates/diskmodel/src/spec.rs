@@ -112,23 +112,11 @@ impl DiskPowerSpec {
     }
 
     /// Returns a copy with a different standby→active spin-up time.
+    #[cfg(test)]
     #[must_use]
     pub fn with_spin_up_time(mut self, time: SimDuration) -> Self {
         self.spin_up_time = time;
         self
-    }
-
-    /// Number of intermediate ("NAP") rotational speeds between full speed
-    /// and standby.
-    ///
-    /// For the Ultrastar extension this is 4: 12 000, 9 000, 6 000 and
-    /// 3 000 RPM.
-    #[must_use]
-    pub fn nap_mode_count(&self) -> usize {
-        if self.rpm_step == 0 || self.min_rpm >= self.max_rpm {
-            return 0;
-        }
-        ((self.max_rpm - self.min_rpm) / self.rpm_step) as usize
     }
 }
 
@@ -154,22 +142,6 @@ mod tests {
         assert_eq!(s.spin_down_energy, Joules::new(13.0));
         assert_eq!(s.max_rpm, 15_000);
         assert_eq!(s.min_rpm, 3_000);
-    }
-
-    #[test]
-    fn nap_mode_count_matches_paper() {
-        // 12k, 9k, 6k, 3k RPM.
-        assert_eq!(DiskPowerSpec::ultrastar_36z15().nap_mode_count(), 4);
-    }
-
-    #[test]
-    fn nap_mode_count_handles_degenerate_specs() {
-        let mut s = DiskPowerSpec::ultrastar_36z15();
-        s.rpm_step = 0;
-        assert_eq!(s.nap_mode_count(), 0);
-        let mut s = DiskPowerSpec::ultrastar_36z15();
-        s.min_rpm = s.max_rpm;
-        assert_eq!(s.nap_mode_count(), 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl DiskArray {
         assert!(count > 0, "need at least one disk");
         let disks = (0..count)
             .map(|i| {
-                let d = DiskSim::new(DiskId::new(i), power.clone(), service.clone(), policy);
+                let d = DiskSim::new(DiskId::new(i), power.clone(), service, policy);
                 if serve_at_speed {
                     d.with_serve_at_speed()
                 } else {

@@ -103,7 +103,6 @@ pub fn schedule_disk(
         requests.windows(2).all(|w| w[0].0 <= w[1].0),
         "requests must be sorted by arrival"
     );
-    let geometry = service.clone();
     let mut inner = DiskSim::new(disk, power, service, dpm);
     let mut outcomes = Vec::with_capacity(requests.len());
     let mut pending: Vec<usize> = Vec::new();
@@ -127,7 +126,7 @@ pub fn schedule_disk(
             continue; // the next arrival defines the new `now`
         }
 
-        let pick = choose(&pending, requests, &geometry, head_cylinder, discipline);
+        let pick = choose(&pending, requests, &service, head_cylinder, discipline);
         let index = pending.swap_remove(pick);
         let (arrival, request) = requests[index];
         // Queued requests start when the disk frees; the underlying
@@ -136,7 +135,7 @@ pub fn schedule_disk(
         // queue means zero idle.
         let effective = arrival.max(inner.ready_at());
         let served = inner.service(effective, request);
-        head_cylinder = geometry.cylinder_of(request.block);
+        head_cylinder = service.cylinder_of(request.block);
         outcomes.push(ScheduledOutcome {
             index,
             response: served.completion - arrival,
@@ -347,7 +346,7 @@ mod tests {
                 DiskId::new(0),
                 &reqs,
                 power(),
-                service.clone(),
+                service,
                 DpmPolicy::Practical,
                 d,
                 SimTime::from_secs(60),

@@ -511,7 +511,7 @@ pub fn scheduler(params: &Params) -> ExperimentOutput {
                 DiskId::new(d as u32),
                 requests,
                 power.clone(),
-                cfg.service.clone(),
+                cfg.service,
                 DpmPolicy::Practical,
                 discipline,
                 horizon,

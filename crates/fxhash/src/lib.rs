@@ -1,5 +1,5 @@
 //! First-party reimplementation of the `rustc-hash` ("FxHash") API subset
-//! the workspace uses: [`FxHasher`], [`FxHashMap`], [`FxHashSet`].
+//! the workspace uses: [`FxHasher`], [`FxHashMap`].
 //!
 //! FxHash is the non-cryptographic multiply-rotate hash the Rust compiler
 //! uses for its internal tables. It is dramatically cheaper than SipHash
@@ -23,14 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// `BuildHasher` producing [`FxHasher`]s; the default state of the maps.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
@@ -108,6 +105,7 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(value: &T) -> u64 {
@@ -137,7 +135,7 @@ mod tests {
         assert_eq!(map.len(), 100);
         assert_eq!(map.get(&(42, 294)), Some(&42));
 
-        let set: FxHashSet<u64> = (0..50).collect();
+        let set: HashSet<u64, FxBuildHasher> = (0..50).collect();
         assert!(set.contains(&49));
         assert!(!set.contains(&50));
     }

@@ -5,16 +5,19 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use pc_server::protocol::MAX_BLOCK_BYTES;
 use pc_server::{run_in_process, run_tcp, EngineConfig, LoadgenConfig};
 use pc_sim::cli::Flags;
 use pc_sim::PolicySpec;
 use pc_trace::Workload;
 
-const USAGE: &str = "usage: pc-loadgen [--addr HOST:PORT] \
+fn usage() -> String {
+    format!(
+        "usage: pc-loadgen [--addr HOST:PORT] \
 [--workload synthetic|oltp|cello96|nonstationary:SCENARIO] \
 [--trace FILE.pct] \
 [--conns N] [--connections N] [--secs S] [--seed N] [--rate REQ_PER_SEC] [--shutdown] \
-[--retry-budget N] [--backoff-us N] [--backoff-cap-us N] [--io-timeout-secs S] \
+[--io-timeout-secs S] \
 [--payload] [--block-bytes N] \
 [--in-process] [--shards N] [--policy NAME] [--write-policy NAME] [--reqs N] \
 [--shard-queue N] [--slow-shard IDX:MICROS]\n\
@@ -30,7 +33,10 @@ const USAGE: &str = "usage: pc-loadgen [--addr HOST:PORT] \
   --payload drives the protocol-v2 data plane: writes carry block\n\
   contents, reads are READ_DATA, and every DATA reply is verified\n\
   (CRC32C + exact bytes) against the deterministic disk image.\n\
-  --block-bytes must match the server's data-plane block size.";
+  --block-bytes must match the server's data-plane block size\n\
+  (at most {MAX_BLOCK_BYTES} bytes)."
+    )
+}
 
 struct Args {
     load: LoadgenConfig,
@@ -66,9 +72,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => load.seed = flags.value(&flag)?,
             "--rate" => load.rate = Some(flags.value(&flag)?),
             "--reqs" => reqs = Some(flags.value(&flag)?),
-            "--retry-budget" => load.retry_budget = flags.value(&flag)?,
-            "--backoff-us" => load.backoff_us = flags.value(&flag)?,
-            "--backoff-cap-us" => load.backoff_cap_us = flags.value(&flag)?,
             "--io-timeout-secs" => {
                 let secs = flags.seconds(&flag)?;
                 if secs <= 0.0 {
@@ -78,11 +81,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--trace" => load.trace = Some(flags.string(&flag)?.into()),
             "--payload" => load.payload = true,
-            "--block-bytes" => load.block_bytes = flags.at_least(&flag, 1)?,
+            "--block-bytes" => load.block_bytes = flags.within(&flag, 1, MAX_BLOCK_BYTES)?,
             "--shutdown" => shutdown = true,
             "--in-process" => in_process = true,
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--help" | "-h" => return Err(usage()),
+            other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
     engine.check()?;

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use pc_cache::WritePolicy;
+use pc_server::protocol::MAX_BLOCK_BYTES;
 use pc_server::{EngineConfig, Server};
 use pc_sim::cli::Flags;
 use pc_sim::PolicySpec;
@@ -43,7 +44,7 @@ fn install_signal_handlers() {
 fn usage() -> String {
     format!(
         "usage: pc-server [--addr HOST:PORT] [--shards N] [--disks N] \
-[--policy NAME] [--write-policy NAME] [--cache-blocks N] [--prefetch N] \
+[--policy NAME] [--write-policy NAME] [--cache-blocks N] \
 [--shard-queue N] [--slow-shard IDX:MICROS] [--io-threads N] \
 [--block-bytes N] [--corrupt-rate N] [--capture FILE.pct]\n\
   policies: {}\n\
@@ -55,15 +56,17 @@ fn usage() -> String {
   into one shard (fault injection for backpressure tests).\n\
   --io-threads sets the epoll event-loop thread count (0 = auto).\n\
   --block-bytes sets the data-plane block size (READ_DATA/WRITE_DATA\n\
-  payload bytes per block, default 4096). --corrupt-rate N flips one\n\
-  slab byte before every Nth verified read per shard (0 = off): CRC\n\
-  fault injection — reads answer CORRUPT and STATS counts crc_failures.\n\
+  payload bytes per block, default 4096, at most {}).\n\
+  --corrupt-rate N flips one slab byte before every Nth verified read\n\
+  per shard (0 = off): CRC fault injection — reads answer CORRUPT and\n\
+  STATS counts crc_failures.\n\
   --capture records every accepted request into a binary .pct trace\n\
   file for later replay (pc-loadgen --trace); capture never blocks a\n\
   shard — when the writer falls behind, records are dropped and the\n\
   drop count surfaces in STATS and the closing report.",
         PolicySpec::online_names(),
         WritePolicy::NAMES,
+        MAX_BLOCK_BYTES,
     )
 }
 
@@ -87,9 +90,8 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => addr = flags.string(&flag)?,
             "--disks" => engine.disks = flags.at_least(&flag, 1)?,
             "--cache-blocks" => engine.sim.cache_blocks = flags.at_least(&flag, 1)?,
-            "--prefetch" => engine.sim.prefetch_depth = flags.value(&flag)?,
             "--io-threads" => engine.io_threads = flags.value(&flag)?,
-            "--block-bytes" => engine.block_bytes = flags.at_least(&flag, 1)?,
+            "--block-bytes" => engine.block_bytes = flags.within(&flag, 1, MAX_BLOCK_BYTES)?,
             "--corrupt-rate" => engine.corrupt_every = flags.value(&flag)?,
             "--capture" => capture = Some(flags.string(&flag)?.into()),
             "--help" | "-h" => return Err(usage()),

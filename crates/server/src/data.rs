@@ -145,6 +145,7 @@ impl BlockStore {
     }
 
     /// Slab bytes currently allocated (for footprint accounting).
+    #[cfg(test)]
     #[must_use]
     pub fn slab_bytes(&self) -> usize {
         self.data.len()

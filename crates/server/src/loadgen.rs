@@ -54,6 +54,17 @@ const INITIAL_WINDOW: usize = 64;
 /// Encode at most this many bytes ahead of the socket.
 const SEND_CHUNK: usize = 48 * 1024;
 
+/// Resends granted to a request answered `BUSY` before it counts as
+/// exhausted.
+const RETRY_BUDGET: u32 = 8;
+
+/// Backoff before the first resend, in microseconds; doubles per
+/// attempt up to [`BACKOFF_CAP_US`].
+const BACKOFF_US: u64 = 200;
+
+/// Backoff ceiling in microseconds.
+const BACKOFF_CAP_US: u64 = 20_000;
+
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -78,14 +89,6 @@ pub struct LoadgenConfig {
     /// Open-loop target rate in requests/second across all connections
     /// (`None` = as fast as the window allows).
     pub rate: Option<f64>,
-    /// Resend attempts granted to a request answered `BUSY` before it
-    /// counts as exhausted.
-    pub retry_budget: u32,
-    /// Base backoff before the first retry, in microseconds; doubles
-    /// per attempt.
-    pub backoff_us: u64,
-    /// Backoff ceiling in microseconds.
-    pub backoff_cap_us: u64,
     /// The grace a hot connection gives its last replies after the run,
     /// and the socket timeout of the STATS and idle-probe round trips.
     pub io_timeout: Duration,
@@ -109,8 +112,7 @@ pub struct LoadgenConfig {
 
 impl LoadgenConfig {
     /// A default run: synthetic workload, 8 connections, 2 seconds,
-    /// 8 retries starting at 200 µs backoff capped at 20 ms, 10 s
-    /// socket timeouts.
+    /// 10 s socket timeouts.
     #[must_use]
     pub fn new(addr: String) -> Self {
         LoadgenConfig {
@@ -121,9 +123,6 @@ impl LoadgenConfig {
             secs: 2.0,
             seed: 42,
             rate: None,
-            retry_budget: 8,
-            backoff_us: 200,
-            backoff_cap_us: 20_000,
             io_timeout: Duration::from_secs(10),
             payload: false,
             block_bytes: DEFAULT_BLOCK_BYTES,
@@ -878,7 +877,7 @@ impl HotConn {
             Response::Busy { .. } => {
                 self.stats.busy += 1;
                 self.window.on_busy(seq, self.inflight.next_seq);
-                if p.attempt >= self.cfg.retry_budget {
+                if p.attempt >= RETRY_BUDGET {
                     self.stats.exhausted += 1;
                 } else {
                     p.attempt += 1;
@@ -919,10 +918,7 @@ impl HotConn {
     /// The capped exponential backoff before resend `attempt` (≥ 1),
     /// with jitter so connections do not resynchronize.
     fn backoff_ns(&mut self, attempt: u32) -> u64 {
-        let first = self.cfg.backoff_us.max(1);
-        let us = first
-            .saturating_mul(1u64 << (attempt - 1).min(20))
-            .min(self.cfg.backoff_cap_us.max(first));
+        let us = (BACKOFF_US << (attempt - 1).min(20)).min(BACKOFF_CAP_US);
         ((us as f64 * self.rng.gen_range(0.5..1.5)) as u64).max(1) * 1_000
     }
 

@@ -31,10 +31,13 @@
 //! there without a `cfg` spread.
 
 #[cfg(target_os = "linux")]
-pub use imp::{set_send_buffer, Poller, Waker};
+pub use imp::{Poller, Waker};
+
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) use imp::set_send_buffer;
 
 #[cfg(not(target_os = "linux"))]
-pub use fallback::{set_send_buffer, Poller, Waker};
+pub use fallback::{Poller, Waker};
 
 /// Readiness edges a registration subscribes to.
 ///
@@ -85,8 +88,10 @@ mod imp {
     const EPOLL_CLOEXEC: c_int = 0x80000;
     const EFD_CLOEXEC: c_int = 0x80000;
     const EFD_NONBLOCK: c_int = 0x800;
-    // setsockopt(SOL_SOCKET, SO_SNDBUF).
+    // setsockopt(SOL_SOCKET, SO_SNDBUF), for the partial-write tests.
+    #[cfg(test)]
     const SOL_SOCKET: c_int = 1;
+    #[cfg(test)]
     const SO_SNDBUF: c_int = 7;
 
     /// The kernel's `struct epoll_event`. On x86-64 the kernel packs it
@@ -112,6 +117,7 @@ mod imp {
         fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         fn close(fd: c_int) -> c_int;
+        #[cfg(test)]
         fn setsockopt(
             fd: c_int,
             level: c_int,
@@ -279,6 +285,7 @@ mod imp {
     /// network. The kernel doubles the value for bookkeeping and
     /// clamps to its floor, so the effective size is "small", not
     /// exactly `bytes`.
+    #[cfg(test)]
     pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
         let val: c_int = bytes.min(c_int::MAX as usize) as c_int;
         cvt(unsafe {
@@ -359,11 +366,6 @@ mod fallback {
 
         /// Unreachable (no instance can exist).
         pub fn drain(&self) {}
-    }
-
-    /// No-op on this platform (partial-write tests are Linux-only).
-    pub fn set_send_buffer(_fd: RawFd, _bytes: usize) -> io::Result<()> {
-        Err(unsupported())
     }
 }
 

@@ -76,6 +76,12 @@ pub const DEFAULT_BLOCK_BYTES: usize = 4096;
 /// well under [`MAX_FRAME`].
 pub const MAX_DATA_BLOCKS: u16 = 64;
 
+/// The largest block size the data plane can carry (16 383 bytes): the
+/// largest `WRITE_DATA` request, a 19-byte header plus
+/// [`MAX_DATA_BLOCKS`] blocks, must fit in one [`MAX_FRAME`], and so
+/// must its `DATA` reply. Both binaries refuse a larger `--block-bytes`.
+pub const MAX_BLOCK_BYTES: usize = (MAX_FRAME - MAX_REQUEST_FRAME) / MAX_DATA_BLOCKS as usize;
+
 /// The request-frame cap for a payload-capable connection: one
 /// `WRITE_DATA` header plus the largest legal data payload, clamped to
 /// [`MAX_FRAME`]. A length prefix above this poisons the stream before
@@ -845,6 +851,34 @@ mod tests {
         assert!(cap <= MAX_FRAME);
         // Degenerate block sizes clamp instead of overflowing.
         assert_eq!(max_request_frame(MAX_FRAME), MAX_FRAME);
+    }
+
+    #[test]
+    fn the_largest_data_frames_fit_at_max_block_bytes_and_not_past_it() {
+        let payload = vec![0xA5u8; MAX_DATA_BLOCKS as usize * MAX_BLOCK_BYTES];
+        let mut wire = Vec::new();
+        encode_data_request(7, true, 3, 9, MAX_DATA_BLOCKS, &payload, &mut wire);
+        assert_eq!(wire.len() - 4, max_request_frame(MAX_BLOCK_BYTES));
+        encode_data_response(7, true, 11, &payload, &mut wire);
+        // A default FrameBuf refuses any frame past MAX_FRAME.
+        let mut fb = FrameBuf::with_capacity(0);
+        let mut src = wire.as_slice();
+        while fb.read_from(&mut src).unwrap() > 0 {}
+        let Some(Request::IoData {
+            blocks,
+            payload: sent,
+            ..
+        }) = fb.next_request().unwrap()
+        else {
+            panic!("the largest WRITE_DATA must decode");
+        };
+        assert_eq!((blocks, &sent), (MAX_DATA_BLOCKS, &payload));
+        let Some(Response::Data { payload: got, .. }) = fb.next_response().unwrap() else {
+            panic!("the largest DATA reply must decode");
+        };
+        assert_eq!(got, payload);
+        // One byte more per block and the largest request overflows.
+        assert!(MAX_REQUEST_FRAME + MAX_DATA_BLOCKS as usize * (MAX_BLOCK_BYTES + 1) > MAX_FRAME);
     }
 
     #[test]

@@ -196,6 +196,7 @@ impl Server {
 
     /// Overrides the per-connection idle timeout (default 60 s): a peer
     /// that sends no bytes for this long is disconnected.
+    #[cfg(test)]
     #[must_use]
     pub fn with_idle_timeout(mut self, idle_timeout: Duration) -> Self {
         self.idle_timeout = idle_timeout;

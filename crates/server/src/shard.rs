@@ -18,7 +18,7 @@ use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
 use rustc_hash::FxHasher;
 
 use crate::data::{BlockStore, ReadOutcome};
-use crate::protocol::DEFAULT_BLOCK_BYTES;
+use crate::protocol::{DEFAULT_BLOCK_BYTES, MAX_BLOCK_BYTES};
 use crate::stats::{ClusterSnapshot, ShardSnapshot};
 
 /// Default per-shard admission-queue bound, in requests: four reader
@@ -124,10 +124,14 @@ impl EngineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `block_bytes` is zero.
+    /// Panics if `block_bytes` is zero or above [`MAX_BLOCK_BYTES`].
     #[must_use]
     pub fn with_block_bytes(mut self, block_bytes: usize) -> Self {
         assert!(block_bytes > 0, "blocks must carry at least one byte");
+        assert!(
+            block_bytes <= MAX_BLOCK_BYTES,
+            "the protocol carries blocks of at most {MAX_BLOCK_BYTES} bytes"
+        );
         self.block_bytes = block_bytes;
         self
     }

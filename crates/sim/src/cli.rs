@@ -1,8 +1,9 @@
 //! The one flag reader behind `repro`, `pc-server` and `pc-loadgen`:
 //! every flag value is parsed and range-checked here, so a bad value is
 //! an error that names its flag — `"{flag} needs a value"`,
-//! `"{flag}: {reason}"` or `"{flag} must be at least {min}"` — in every
-//! binary, never a panic.
+//! `"{flag}: {reason}"`, `"{flag} must be at least {min}"` or
+//! `"{flag} must be between {min} and {max}"` — in every binary, never
+//! a panic.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -57,6 +58,18 @@ impl Flags {
         let value = self.value(flag)?;
         if value < min {
             return Err(format!("{flag} must be at least {min}"));
+        }
+        Ok(value)
+    }
+
+    /// The value of `flag`, which must lie in `min..=max`.
+    pub fn within<T>(&mut self, flag: &str, min: T, max: T) -> Result<T, String>
+    where
+        T: FromStr<Err: Display> + PartialOrd + Display,
+    {
+        let value = self.value(flag)?;
+        if value < min || value > max {
+            return Err(format!("{flag} must be between {min} and {max}"));
         }
         Ok(value)
     }
@@ -119,6 +132,11 @@ mod tests {
         );
         let err = flags(&["0"]).at_least("--shards", 1usize);
         assert_eq!(err, Err("--shards must be at least 1".into()));
+        for raw in ["0", "9"] {
+            let err = flags(&[raw]).within("--bytes", 1usize, 8);
+            assert_eq!(err, Err("--bytes must be between 1 and 8".into()));
+        }
+        assert_eq!(flags(&["8"]).within("--bytes", 1usize, 8), Ok(8));
         let err = flags(&["0"]).positive("--scale");
         assert_eq!(err, Err("--scale: 0 is not positive".into()));
         let err = flags(&["x"]).value::<u64>("--seed").unwrap_err();

@@ -5,7 +5,7 @@ use pc_cache::{ReplacementPolicy, WritePolicy};
 use pc_diskmodel::{DiskPowerSpec, PowerModel, ServiceModel};
 use pc_disksim::DpmPolicy;
 use pc_trace::Trace;
-use pc_units::{Joules, SimDuration};
+use pc_units::Joules;
 
 /// Which replacement policy to run (constructed per trace, since the
 /// off-line policies need the future).
@@ -138,8 +138,6 @@ pub struct SimConfig {
     pub write_policy: WritePolicy,
     /// Mechanical timing model.
     pub service: ServiceModel,
-    /// Response time charged to every access for the cache itself.
-    pub hit_time: SimDuration,
     /// Sequential read-ahead depth (0 = disabled; on-line policies only).
     pub prefetch_depth: u64,
     /// Carrera-style serve-at-speed disks (multi-speed option 1; the
@@ -156,7 +154,6 @@ impl Default for SimConfig {
             dpm: DpmPolicy::Practical,
             write_policy: WritePolicy::WriteBack,
             service: ServiceModel::ultrastar_36z15(),
-            hit_time: SimDuration::from_micros(200),
             prefetch_depth: 0,
             serve_at_speed: false,
         }

@@ -8,6 +8,9 @@ use pc_units::{BlockNo, DiskId, SimDuration, SimTime};
 
 use crate::{PolicySpec, SimConfig, SimReport};
 
+/// Response time charged to every access for the cache itself.
+const HIT_TIME: SimDuration = SimDuration::from_micros(200);
+
 /// Runs a replacement-policy experiment (paper §5, Figures 6–8): the
 /// cache shapes each disk's request sequence, and the disks account
 /// energy under the configured DPM (Oracle or Practical).
@@ -142,7 +145,6 @@ pub struct OnlineStepper {
     log_disk: DiskSim,
     log_cursor: u64,
     write_policy: WritePolicy,
-    hit_time: SimDuration,
     response_total: SimDuration,
     response_hist: pc_cache::IntervalHistogram,
     horizon: SimTime,
@@ -195,7 +197,7 @@ impl OnlineStepper {
         let array = DiskArray::new_configured(
             disk_count.max(1),
             power.clone(),
-            config.service.clone(),
+            config.service,
             config.dpm,
             config.serve_at_speed,
         );
@@ -204,7 +206,7 @@ impl OnlineStepper {
         let log_disk = DiskSim::new(
             DiskId::new(disk_count),
             power,
-            config.service.clone(),
+            config.service,
             DpmPolicy::AlwaysOn,
         );
         OnlineStepper {
@@ -213,7 +215,6 @@ impl OnlineStepper {
             log_disk,
             log_cursor: 0,
             write_policy: config.write_policy,
-            hit_time: config.hit_time,
             response_total: SimDuration::ZERO,
             response_hist: SimReport::response_histogram(),
             horizon: SimTime::ZERO,
@@ -299,7 +300,7 @@ impl OnlineStepper {
                 WritePolicy::WriteBack | WritePolicy::Wbeu { .. } => SimDuration::ZERO,
             },
         };
-        let response = self.hit_time + synchronous;
+        let response = HIT_TIME + synchronous;
         self.response_total += response;
         self.response_hist.record(response);
         StepOutcome {

@@ -90,13 +90,6 @@ impl CelloConfig {
         self
     }
 
-    /// Sets the mean inter-arrival time.
-    #[must_use]
-    pub fn with_mean_gap(mut self, gap: SimDuration) -> Self {
-        self.mean_gap = gap;
-        self
-    }
-
     /// Generates a trace deterministically from a seed.
     ///
     /// Collects [`CelloConfig::stream`], so the eager and streaming paths

@@ -64,12 +64,6 @@ pub struct OltpConfig {
     /// (the rest touch freshly-allocated blocks and are unavoidable cold
     /// misses).
     pub reuse_probability: f64,
-    /// Mean number of requests per arrival event on cacheable disks
-    /// (geometric; 1.0 = steady arrivals, the default).
-    pub burst_len: f64,
-    /// Mean gap between requests inside a burst (only used when
-    /// `burst_len > 1`).
-    pub intra_burst_gap: SimDuration,
     /// Zipf exponent for working-set block popularity.
     pub zipf_theta: f64,
 }
@@ -86,8 +80,6 @@ impl Default for OltpConfig {
             hot_working_set: 40_000,
             cacheable_working_set: 20,
             reuse_probability: 0.9,
-            burst_len: 1.0,
-            intra_burst_gap: SimDuration::from_millis(250),
             zipf_theta: 0.2,
         }
     }
@@ -100,13 +92,6 @@ impl OltpConfig {
     #[must_use]
     pub fn with_requests(mut self, requests: usize) -> Self {
         self.requests = requests;
-        self
-    }
-
-    /// Sets the mean inter-arrival time of the merged stream.
-    #[must_use]
-    pub fn with_mean_gap(mut self, gap: SimDuration) -> Self {
-        self.mean_gap = gap;
         self
     }
 
@@ -200,8 +185,7 @@ impl OltpConfig {
         }
     }
 
-    /// Cacheable stream: per-disk Poisson arrival events carrying
-    /// (geometric) `burst_len` requests each, filling the remaining
+    /// Cacheable stream: per-disk Poisson arrivals filling the remaining
     /// `1 - hot_share` of the traffic.
     fn push_cacheable_events(
         &self,
@@ -213,11 +197,10 @@ impl OltpConfig {
             return;
         }
         let rate = (1.0 - self.hot_share) / self.mean_gap.as_secs_f64();
-        let per_disk_event_rate = rate / self.burst_len.max(1.0) / f64::from(self.cacheable_disks);
+        let per_disk_rate = rate / f64::from(self.cacheable_disks);
         let arrivals = GapDistribution::exponential(SimDuration::from_secs_f64(
-            1.0 / per_disk_event_rate.max(1e-12),
+            1.0 / per_disk_rate.max(1e-12),
         ));
-        let intra = GapDistribution::exponential(self.intra_burst_gap);
         for disk in 0..self.cacheable_disks {
             let disk_id = self.hot_disks + disk;
             let mut t = SimTime::ZERO;
@@ -226,19 +209,12 @@ impl OltpConfig {
                 if t >= SimTime::ZERO + horizon {
                     break;
                 }
-                let len = geometric_len(rng, self.burst_len);
-                let mut bt = t;
-                for i in 0..len {
-                    if i > 0 {
-                        bt += intra.sample(rng);
-                    }
-                    let kind = if rng.gen::<f64>() < self.reuse_probability {
-                        Kind::Reuse
-                    } else {
-                        Kind::Fresh
-                    };
-                    events.push((bt, disk_id, kind));
-                }
+                let kind = if rng.gen::<f64>() < self.reuse_probability {
+                    Kind::Reuse
+                } else {
+                    Kind::Fresh
+                };
+                events.push((t, disk_id, kind));
             }
         }
     }
@@ -250,16 +226,6 @@ enum Kind {
     Hot,
     Reuse,
     Fresh,
-}
-
-/// Geometric burst length with the given mean, at least 1.
-fn geometric_len<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> usize {
-    if mean <= 1.0 {
-        return 1;
-    }
-    let p = 1.0 / mean;
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as usize
 }
 
 #[cfg(test)]
@@ -356,25 +322,5 @@ mod tests {
         let cfg = OltpConfig::default().with_requests(2_000);
         assert_eq!(cfg.generate(1), cfg.generate(1));
         assert_ne!(cfg.generate(1), cfg.generate(2));
-    }
-
-    #[test]
-    fn bursty_variant_still_generates_requested_count() {
-        let cfg = OltpConfig {
-            burst_len: 8.0,
-            ..OltpConfig::default()
-        }
-        .with_requests(10_000);
-        assert_eq!(cfg.generate(2).len(), 10_000);
-    }
-
-    #[test]
-    fn geometric_mean_is_close() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let n = 50_000;
-        let total: usize = (0..n).map(|_| geometric_len(&mut rng, 8.0)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 8.0).abs() < 0.3, "mean {mean}");
-        assert_eq!(geometric_len(&mut rng, 0.5), 1);
     }
 }

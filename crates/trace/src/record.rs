@@ -1,6 +1,6 @@
 //! Trace records and containers.
 
-use pc_units::{BlockId, DiskId, SimDuration, SimTime};
+use pc_units::{BlockId, SimDuration, SimTime};
 
 /// The direction of one I/O request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,21 +191,6 @@ impl Trace {
         }
     }
 
-    /// The sub-trace addressing a single disk (disk count preserved, so
-    /// the records keep their addresses).
-    #[must_use]
-    pub fn filter_disk(&self, disk: DiskId) -> Trace {
-        Trace {
-            disk_count: self.disk_count,
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.block.disk() == disk)
-                .copied()
-                .collect(),
-        }
-    }
-
     /// Merges two traces by arrival time (stable: ties keep `self`'s
     /// records first). The result spans the larger disk array.
     #[must_use]
@@ -254,7 +239,7 @@ impl<'a> IntoIterator for &'a Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_units::BlockNo;
+    use pc_units::{BlockNo, DiskId};
 
     fn rec(ms: u64, disk: u32, block: u64, op: IoOp) -> Record {
         Record::new(
@@ -309,22 +294,6 @@ mod tests {
         assert_eq!(w.records()[0].time, SimTime::from_millis(5));
         assert_eq!(w.records()[0].block.block().number(), 2);
         assert_eq!(w.disk_count(), 1);
-    }
-
-    #[test]
-    fn filter_disk_keeps_addressing() {
-        let t = Trace::from_records(
-            3,
-            vec![
-                rec(1, 0, 1, IoOp::Read),
-                rec(2, 2, 2, IoOp::Write),
-                rec(3, 0, 3, IoOp::Read),
-            ],
-        );
-        let only2 = t.filter_disk(DiskId::new(2));
-        assert_eq!(only2.len(), 1);
-        assert_eq!(only2.disk_count(), 3, "addresses stay valid");
-        assert_eq!(only2.records()[0].op, IoOp::Write);
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn main() {
         let mut disks = DiskArray::new(
             trace.disk_count(),
             power.clone(),
-            sim.service.clone(),
+            sim.service,
             DpmPolicy::Practical,
         );
         let mut effects = Vec::new();

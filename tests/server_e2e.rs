@@ -158,9 +158,6 @@ fn tcp_overload_bounces_busy_and_closes_the_books() {
         conns: 4,
         secs: 0.6,
         rate: Some(20_000.0),
-        retry_budget: 64,
-        backoff_us: 100,
-        backoff_cap_us: 2_000,
         ..LoadgenConfig::new(addr)
     })
     .expect("load generation");
