@@ -281,6 +281,9 @@ impl BlockCache {
     ) -> AccessOutcome {
         effects.clear();
         let disk = record.block.disk();
+        // Block numbers wrap: a request that runs past `u64::MAX`
+        // continues at block 0, as the server's payload path does.
+        let first = record.block.block().number();
         self.stats.accesses += 1;
         match record.op {
             IoOp::Read => self.stats.reads += 1,
@@ -297,7 +300,7 @@ impl BlockCache {
         let mut read_missed = false;
 
         for offset in 0..record.blocks {
-            let block = BlockId::new(disk, BlockNo::new(record.block.block().number() + offset));
+            let block = BlockId::new(disk, BlockNo::new(first.wrapping_add(offset)));
             let found = self.table.lookup(block);
             self.policy.on_access(found, block, record.time);
             let slot = match found {
@@ -336,11 +339,8 @@ impl BlockCache {
             self.stats.hits += 1;
         }
         if read_missed && self.prefetch_depth > 0 {
-            let last = BlockId::new(
-                disk,
-                BlockNo::new(record.block.block().number() + record.blocks.saturating_sub(1)),
-            );
-            self.prefetch_after(last, record.time, effects);
+            let last = first.wrapping_add(record.blocks.saturating_sub(1));
+            self.prefetch_after(BlockId::new(disk, BlockNo::new(last)), record.time, effects);
         }
 
         AccessOutcome {
@@ -376,7 +376,10 @@ impl BlockCache {
         effects: &mut Vec<Effect>,
     ) {
         for i in 1..=self.prefetch_depth {
-            let next = BlockId::new(block.disk(), BlockNo::new(block.block().number() + i));
+            let next = BlockId::new(
+                block.disk(),
+                BlockNo::new(block.block().number().wrapping_add(i)),
+            );
             if self.table.lookup(next).is_some() {
                 continue;
             }
@@ -836,6 +839,33 @@ mod tests {
         );
         assert!(again.hit);
         assert!(again.effects.is_empty());
+    }
+
+    #[test]
+    fn block_ranges_wrap_at_the_top_of_the_address_space() {
+        // A 2-block read at the last block number touches it and block
+        // 0, and the read-ahead behind it continues from there.
+        let mut c = cache(8, WritePolicy::WriteBack).with_prefetch_depth(2);
+        let mut r = rec(0, blk(3, u64::MAX), IoOp::Read);
+        r.blocks = 2;
+        let res = c.access_alloc(&r, |_| false);
+        assert_eq!(
+            res.effects,
+            vec![
+                Effect::ReadDisk(blk(3, u64::MAX)),
+                Effect::ReadDisk(blk(3, 0)),
+                Effect::ReadDisk(blk(3, 1)),
+                Effect::ReadDisk(blk(3, 2)),
+            ]
+        );
+        assert!(
+            c.access_alloc(&rec(1, blk(3, 0), IoOp::Read), |_| false)
+                .hit
+        );
+        let mut w = rec(2, blk(3, u64::MAX), IoOp::Write);
+        w.blocks = 3;
+        assert!(c.access_alloc(&w, |_| false).hit);
+        assert_eq!(c.stats().disk_reads, 4);
     }
 
     #[test]

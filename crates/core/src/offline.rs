@@ -89,7 +89,8 @@ impl OfflineIndex {
                 let number = rec.block.block().number();
                 for offset in 0..rec.blocks as u32 {
                     let i = first + offset;
-                    if let Some(prev) = last_seen.insert(number + u64::from(offset), i) {
+                    if let Some(prev) = last_seen.insert(number.wrapping_add(u64::from(offset)), i)
+                    {
                         next[prev as usize] = i;
                     }
                 }

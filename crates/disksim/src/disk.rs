@@ -333,7 +333,10 @@ impl DiskSim {
             ModeId::FULL_SPEED
         };
         self.head = Some(BlockNo::new(
-            request.block.number() + request.blocks.saturating_sub(1),
+            request
+                .block
+                .number()
+                .wrapping_add(request.blocks.saturating_sub(1)),
         ));
 
         let response = wait + service;

@@ -670,6 +670,26 @@ mod tests {
     }
 
     #[test]
+    fn a_read_past_the_last_block_number_wraps_and_closes_the_books() {
+        let cfg = EngineConfig::new(1, 2);
+        let mut shard = ShardEngine::new(0, &cfg);
+        // Blocks u64::MAX and 0 of disk 1: both miss, and the request
+        // waits for the fetch that carries them.
+        let miss = shard.ingest(SimTime::from_millis(1), 1, u64::MAX, 2, false);
+        let mut out = Vec::new();
+        assert!(shard.read_payload_into(1, u64::MAX, 2, &mut out));
+        assert_eq!(out.len(), 2 * shard.block_bytes());
+        let hit = shard.ingest(SimTime::from_millis(2), 1, 0, 1, false);
+        assert!(!miss.hit && hit.hit);
+        assert!(miss.response > hit.response, "{miss:?} vs {hit:?}");
+        let live = shard.snapshot().energy;
+        let fin = shard.into_snapshot();
+        assert_eq!(fin.requests, 2);
+        assert_eq!(fin.cache.disk_reads, 2);
+        assert!(fin.energy >= live && fin.energy > Joules::ZERO);
+    }
+
+    #[test]
     fn in_process_cluster_is_deterministic() {
         let w = Workload::parse("synthetic").unwrap().with_requests(5_000);
         let run = |seed: u64| {

@@ -259,9 +259,15 @@ impl OnlineStepper {
                             blocks,
                         },
                     );
+                    // The client's block lies in the run's
+                    // `blocks` numbers from `first`, which may wrap.
                     let carries_own = first.disk() == record.block.disk()
-                        && (first.block().number()..first.block().number() + blocks)
-                            .contains(&record.block.block().number());
+                        && record
+                            .block
+                            .block()
+                            .number()
+                            .wrapping_sub(first.block().number())
+                            < blocks;
                     if carries_own {
                         if read {
                             own_read = Some(served.response);
@@ -453,7 +459,7 @@ impl Iterator for Coalesce<'_> {
                     };
                     if next_read != read
                         || nb.disk() != b.disk()
-                        || nb.block().number() != b.block().number() + blocks
+                        || nb.block().number() != b.block().number().wrapping_add(blocks)
                     {
                         break;
                     }
@@ -751,7 +757,8 @@ mod tests {
                         {
                             if *read == is_read
                                 && first.disk() == b.disk()
-                                && first.block().number() + *blocks == b.block().number()
+                                && first.block().number().wrapping_add(*blocks)
+                                    == b.block().number()
                             {
                                 *blocks += 1;
                                 continue;

@@ -101,7 +101,7 @@ impl CelloConfig {
     /// or an invalid quiet phase.
     #[must_use]
     pub fn generate(&self, seed: u64) -> Trace {
-        let mut trace = Trace::new(self.disks);
+        let mut trace = Trace::with_capacity(self.disks, self.requests);
         for record in self.stream(seed) {
             trace.push(record);
         }

@@ -137,7 +137,7 @@ impl OltpConfig {
         // accesses walk a per-disk allocation frontier.
         let mut fresh_frontier: Vec<u64> =
             vec![self.cacheable_working_set + 1; self.disk_count() as usize];
-        let mut trace = Trace::new(self.disk_count());
+        let mut trace = Trace::with_capacity(self.disk_count(), events.len());
         for (time, disk, kind) in events {
             let block = match kind {
                 Kind::Hot => rng.gen_range(0..self.hot_working_set.max(1)),

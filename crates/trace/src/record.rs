@@ -32,6 +32,10 @@ pub struct Record {
     pub op: IoOp,
 }
 
+// A materialized trace is the largest object of every simulator run:
+// the 12-byte `BlockId` lets the compiler pack a record into 32 bytes.
+const _: () = assert!(std::mem::size_of::<Record>() == 32);
+
 impl Record {
     /// Creates a single-block request.
     #[must_use]
@@ -78,6 +82,16 @@ impl Trace {
         Trace {
             disk_count,
             records: Vec::new(),
+        }
+    }
+
+    /// Creates an empty trace with room for `capacity` records: a
+    /// generator that knows its length reserves it exactly, instead of
+    /// letting pushes double the buffer past it.
+    pub(crate) fn with_capacity(disk_count: u32, capacity: usize) -> Self {
+        Trace {
+            disk_count,
+            records: Vec::with_capacity(capacity),
         }
     }
 

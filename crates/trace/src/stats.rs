@@ -73,7 +73,7 @@ impl TraceStats {
             for offset in 0..r.blocks {
                 let block = pc_units::BlockId::new(
                     r.block.disk(),
-                    pc_units::BlockNo::new(r.block.block().number() + offset),
+                    pc_units::BlockNo::new(r.block.block().number().wrapping_add(offset)),
                 );
                 any_new |= seen.insert(block);
             }
@@ -92,7 +92,8 @@ impl TraceStats {
         let mut disk_unique = vec![HashSet::new(); disks as usize];
         for r in trace {
             for offset in 0..r.blocks {
-                disk_unique[r.block.disk().as_usize()].insert(r.block.block().number() + offset);
+                disk_unique[r.block.disk().as_usize()]
+                    .insert(r.block.block().number().wrapping_add(offset));
             }
         }
         for (d, stats) in per_disk.iter_mut().enumerate() {

@@ -138,7 +138,7 @@ impl SyntheticConfig {
     /// `stack_depth` is zero.
     #[must_use]
     pub fn generate(&self, seed: u64) -> Trace {
-        let mut trace = Trace::new(self.disks);
+        let mut trace = Trace::with_capacity(self.disks, self.requests);
         for record in self.stream(seed) {
             trace.push(record);
         }

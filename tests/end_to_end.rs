@@ -167,3 +167,59 @@ fn residency_is_write_policy_invariant() {
         );
     }
 }
+
+/// A request that runs past the last block number continues at block 0
+/// on every layer: it survives a `.pct` round trip, every policy and
+/// write policy replays it, `TraceStats` counts its blocks, and a read
+/// miss still waits for the fetch that carries it.
+#[test]
+fn requests_past_the_last_block_number_wrap_on_every_layer() {
+    use pc_trace::{IoOp, Record, Trace};
+    use pc_units::{BlockId, BlockNo, DiskId};
+
+    let at = |ms, disk, block, blocks, op| Record {
+        blocks,
+        ..Record::new(
+            SimTime::from_millis(ms),
+            BlockId::new(DiskId::new(disk), BlockNo::new(block)),
+            op,
+        )
+    };
+    let mut trace = Trace::new(2);
+    // Disk 0: blocks MAX and 0. Disk 1: MAX - 1, MAX, 0 and 1. Then one
+    // re-read of a wrapped block on each disk.
+    trace.push(at(1, 0, u64::MAX, 2, IoOp::Read));
+    trace.push(at(2, 1, u64::MAX - 1, 4, IoOp::Write));
+    trace.push(at(3, 0, 0, 1, IoOp::Read));
+    trace.push(at(4, 1, 1, 1, IoOp::Read));
+    let path = std::env::temp_dir().join(format!("pc-wrap-{}.pct", std::process::id()));
+    pc_tracefile::write_trace(&path, &trace).unwrap();
+    let replayed = pc_tracefile::read_trace(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(replayed, trace);
+
+    let stats = TraceStats::of(&replayed);
+    assert_eq!(stats.per_disk[0].unique_blocks, 2);
+    assert_eq!(stats.per_disk[1].unique_blocks, 4);
+
+    // Four requests at the 200 µs hit time, plus the first read's fetch.
+    let hits_only = SimDuration::from_micros(4 * 200);
+    for policy in policies() {
+        let report = run_replacement(&replayed, &policy, &SimConfig::default());
+        assert_eq!(report.requests, 4, "{}", report.policy);
+        assert_eq!(report.cache.hits, 2, "{}", report.policy);
+        assert_eq!(report.cache.disk_reads, 2, "{}", report.policy);
+        assert!(report.response_total > hits_only, "{}", report.policy);
+    }
+    for write_policy in [
+        WritePolicy::WriteThrough,
+        WritePolicy::WriteBack,
+        WritePolicy::Wbeu { dirty_limit: 1 },
+        WritePolicy::Wtdu,
+    ] {
+        let config = SimConfig::default().with_write_policy(write_policy);
+        let report = run_write_policy(&replayed, &PolicySpec::Lru, &config);
+        assert_eq!(report.cache.hits, 2, "{}", report.write_policy);
+        assert!(report.response_total > hits_only, "{}", report.write_policy);
+    }
+}
