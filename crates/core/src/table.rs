@@ -8,12 +8,16 @@
 //! cache of capacity `c` never hands out a slot ≥ `c` and every
 //! slot-indexed `Vec` stays exactly as large as the resident set.
 //!
-//! The table performs the *single* hash lookup of the per-access hot
-//! path (an FxHash map — every other structure indexes by slot). The
-//! same type doubles as the ghost directory inside policies that
-//! remember evicted blocks (2Q, MQ, ARC, LIRS): a ghost table interns
-//! evicted block ids into its own slot space, with the same free-list
-//! reuse.
+//! The table's FxHash map is the only hash map of the per-access hot
+//! path; every other structure indexes by slot. A hit costs one probe
+//! (`lookup`). A miss costs that probe, one to remove the victim
+//! (`release`) and one to find and fill the new block's bucket
+//! (`intern`, through the map's entry API). The same type doubles as the
+//! ghost directory inside policies that remember evicted blocks (2Q, MQ,
+//! ARC, LIRS): a ghost table interns evicted block ids into its own slot
+//! space, with the same free-list reuse.
+
+use std::collections::hash_map::Entry;
 
 use rustc_hash::FxHashMap;
 
@@ -94,16 +98,19 @@ impl BlockTable {
 
     /// The slot `block` is interned at, if it currently is.
     #[must_use]
+    #[inline]
     pub fn lookup(&self, block: BlockId) -> Option<Slot> {
         self.slot_of.get(&block).map(|&i| Slot(i))
     }
 
     /// Interns `block`, reusing a released slot when one exists. Returns
     /// the existing slot if the block is already interned.
+    #[inline]
     pub fn intern(&mut self, block: BlockId) -> Slot {
-        if let Some(&i) = self.slot_of.get(&block) {
-            return Slot(i);
-        }
+        let vacant = match self.slot_of.entry(block) {
+            Entry::Occupied(e) => return Slot(*e.get()),
+            Entry::Vacant(e) => e,
+        };
         let i = match self.free.pop() {
             Some(i) => {
                 self.blocks[i as usize] = block;
@@ -115,7 +122,7 @@ impl BlockTable {
                 i
             }
         };
-        self.slot_of.insert(block, i);
+        vacant.insert(i);
         Slot(i)
     }
 
@@ -124,6 +131,7 @@ impl BlockTable {
     /// # Panics
     ///
     /// Panics if `slot` is not live (double release or a foreign slot).
+    #[inline]
     pub fn release(&mut self, slot: Slot) {
         let block = self.blocks[slot.index()];
         let removed = self.slot_of.remove(&block);
@@ -137,6 +145,7 @@ impl BlockTable {
     ///
     /// Panics if `slot` was never issued.
     #[must_use]
+    #[inline]
     pub fn block_of(&self, slot: Slot) -> BlockId {
         self.blocks[slot.index()]
     }

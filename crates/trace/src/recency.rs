@@ -8,18 +8,24 @@
 //! they are in, so only the one access kind that may hit an entry it
 //! cannot locate pays for a scan (see DESIGN.md §7.6).
 
-use std::collections::VecDeque;
-
 /// A bounded most-recently-used stack of unique block numbers.
 ///
 /// Entries are unique by construction: [`RecencyStack::promote`] moves an
 /// entry, [`RecencyStack::touch`] removes any previous copy before pushing,
 /// and [`RecencyStack::push_fresh`] is only handed absent blocks.
+///
+/// The live entries are one contiguous window `buf[head..head + len]` of
+/// a buffer twice the capacity, so a scan is a plain slice loop. Evicting
+/// the oldest entry advances `head`; when a push finds the window at the
+/// end of the buffer, the window is first copied back to the front, at
+/// most once per `capacity` pushes.
 #[derive(Debug, Clone)]
 pub(crate) struct RecencyStack {
-    /// Oldest entry at the front, most recent at the back.
-    entries: VecDeque<u64>,
-    capacity: usize,
+    /// `2 × capacity` slots; oldest live entry at `head`, most recent at
+    /// `head + len - 1`.
+    buf: Vec<u64>,
+    head: usize,
+    len: usize,
 }
 
 impl RecencyStack {
@@ -31,30 +37,42 @@ impl RecencyStack {
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a recency stack needs room for one block");
         RecencyStack {
-            entries: VecDeque::new(),
-            capacity,
+            buf: vec![0; 2 * capacity],
+            head: 0,
+            len: 0,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    fn capacity(&self) -> usize {
+        self.buf.len() / 2
+    }
+
+    /// The live entries, oldest first.
+    fn entries(&self) -> &[u64] {
+        &self.buf[self.head..self.head + self.len]
     }
 
     /// Moves the `depth`-th most recent entry (1 = the top) to the top and
     /// returns it. Entries are unique, so the index is `len - depth` and no
-    /// scan is needed; the deque shifts the `depth - 1` entries above it.
+    /// scan is needed; the `depth - 1` entries above it shift down one.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= depth <= len`.
     pub(crate) fn promote(&mut self, depth: usize) -> u64 {
-        let index = self.entries.len().wrapping_sub(depth);
-        let block = self.entries.remove(index).expect("depth within the stack");
-        self.entries.push_back(block);
+        let index = self.len.wrapping_sub(depth);
+        let entries = &mut self.buf[self.head..self.head + self.len];
+        let block = entries[index];
+        entries.copy_within(index + 1.., index);
+        entries[entries.len() - 1] = block;
         block
     }
 
@@ -62,25 +80,42 @@ impl RecencyStack {
     /// oldest entry when full.
     pub(crate) fn push_fresh(&mut self, block: u64) {
         debug_assert!(
-            !self.entries.contains(&block),
+            !self.entries().contains(&block),
             "push_fresh given block {block} already on the stack"
         );
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
+        if self.len == self.capacity() {
+            self.head += 1;
+            self.len -= 1;
         }
-        self.entries.push_back(block);
+        if self.head + self.len == self.buf.len() {
+            self.buf.copy_within(self.head..self.head + self.len, 0);
+            self.head = 0;
+        }
+        self.buf[self.head + self.len] = block;
+        self.len += 1;
     }
 
     /// Moves `block` to the top, whether or not it is already on the
-    /// stack: the general case, one scan from the top.
+    /// stack: the general case. A branch-free membership test covers the
+    /// whole window; only a present block is then located.
     pub(crate) fn touch(&mut self, block: u64) {
-        if let Some(pos) = self.entries.iter().rposition(|&b| b == block) {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.capacity {
-            self.entries.pop_front();
+        if holds(self.entries(), block) {
+            let pos = self
+                .entries()
+                .iter()
+                .rposition(|&b| b == block)
+                .expect("a held block has a position");
+            self.promote(self.len - pos);
+        } else {
+            self.push_fresh(block);
         }
-        self.entries.push_back(block);
     }
+}
+
+/// Whether `entries` holds `block`, OR-folding every comparison with no
+/// early exit, so the loop vectorises (four entries per step on SSE2).
+fn holds(entries: &[u64], block: u64) -> bool {
+    entries.iter().fold(false, |any, &b| any | (b == block))
 }
 
 #[cfg(test)]
@@ -102,7 +137,10 @@ mod tests {
 
     #[test]
     fn matches_the_vec_oracle_on_random_operation_sequences() {
-        for capacity in [1, 2, 128, 4096] {
+        // 3 and 7 are not powers of two; every capacity runs at least ten
+        // capacities' worth of pushes, so the window slides off the end of
+        // its buffer and is copied back to the front many times.
+        for capacity in [1, 2, 3, 7, 128, 4096] {
             let mut rng = StdRng::seed_from_u64(capacity as u64);
             let mut stack = RecencyStack::new(capacity);
             let mut oracle: Vec<u64> = Vec::new();
@@ -110,8 +148,11 @@ mod tests {
             // random touches can name.
             let universe = 2 * capacity as u64 + 2;
             let mut frontier = universe;
-            for _ in 0..20_000 {
-                match rng.gen_range(0..4u32) {
+            let (mut ops, mut pushes, mut copy_backs) = (0usize, 0usize, 0usize);
+            while ops < 20_000 || pushes < 10 * capacity {
+                ops += 1;
+                let (head, len) = (stack.head, stack.len());
+                match rng.gen_range(0..6u32) {
                     0 if !oracle.is_empty() => {
                         // Any depth, with the bottom entry (`len`) often.
                         let depth = if rng.gen_bool(0.2) {
@@ -134,15 +175,31 @@ mod tests {
                         oracle_touch(&mut oracle, block, capacity);
                         stack.touch(block);
                     }
+                    3 if !oracle.is_empty() => {
+                        // The oldest entry, then the newest, both present.
+                        let block = oracle[0];
+                        oracle_touch(&mut oracle, block, capacity);
+                        stack.touch(block);
+                        let block = oracle[oracle.len() - 1];
+                        oracle_touch(&mut oracle, block, capacity);
+                        stack.touch(block);
+                    }
                     _ => {
                         let block = rng.gen_range(0..universe);
                         oracle_touch(&mut oracle, block, capacity);
                         stack.touch(block);
                     }
                 }
+                if stack.head < head {
+                    copy_backs += 1;
+                }
+                if stack.len() > len || stack.head != head {
+                    pushes += 1;
+                }
                 assert_eq!(stack.len(), oracle.len());
-                assert!(stack.entries.iter().eq(oracle.iter()), "cap {capacity}");
+                assert_eq!(stack.entries(), &oracle[..], "cap {capacity}");
             }
+            assert!(copy_backs >= 5, "cap {capacity}: {copy_backs} copy-backs");
         }
     }
 

@@ -72,6 +72,12 @@ impl GapDistribution {
 /// A Zipf(θ) sampler over ranks `1..=n`, used for stack-distance temporal
 /// locality: small ranks (recently-used blocks) are drawn most often.
 ///
+/// A draw inverts the CDF in O(1) expected time with a guide table (the
+/// "indexed search" of Chen & Asau, 1974): bucket `j` of `K` equal-width
+/// buckets of `[0, 1)` records the first rank whose CDF reaches `j / K`,
+/// and the draw scans forward from its bucket's rank. It returns exactly
+/// the rank a binary search over the CDF returns (see DESIGN.md §7.6).
+///
 /// # Examples
 ///
 /// ```
@@ -85,7 +91,11 @@ impl GapDistribution {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZipfSampler {
+    /// `cdf[i]` = P(rank ≤ i + 1); the last entry is exactly 1.
     cdf: Vec<f64>,
+    /// `K = n.next_power_of_two()` entries: `guide[j]` is the first
+    /// index `i` with `cdf[i] ≥ j / K`.
+    guide: Vec<u32>,
 }
 
 impl ZipfSampler {
@@ -94,7 +104,8 @@ impl ZipfSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `theta` is negative or not finite.
+    /// Panics if `n == 0`, `n` exceeds `u32::MAX`, or `theta` is negative
+    /// or not finite.
     #[must_use]
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
@@ -111,7 +122,19 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfSampler { cdf }
+        // One merge pass over the bucket edges, which ascend. Every edge
+        // is below 1 = cdf[n - 1], so the scan stays in bounds.
+        let buckets = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut i = 0;
+        for j in 0..buckets {
+            let edge = j as f64 / buckets as f64;
+            while cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(u32::try_from(i).expect("Zipf rank count fits in u32"));
+        }
+        ZipfSampler { cdf, guide }
     }
 
     /// Number of ranks.
@@ -128,7 +151,35 @@ impl ZipfSampler {
 
     /// Draws a rank in `1..=n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+        self.rank_of(rng.gen())
+    }
+
+    /// The rank a uniform `u` in `[0, 1]` inverts to: one more than the
+    /// index [`ZipfSampler::search`] finds.
+    ///
+    /// `u · K` is exact because `K` is a power of two, so bucket
+    /// `j = ⌊u · K⌋` has `j / K ≤ u` and its first rank lies at or before
+    /// the first `i` with `cdf[i] ≥ u`; the scan stops exactly there.
+    /// (`u = 1` only arises in tests; it clamps into the last bucket.)
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let bucket = ((u * self.guide.len() as f64) as usize).min(self.guide.len() - 1);
+        let mut i = self.guide[bucket] as usize;
+        while self.cdf[i] < u {
+            i += 1;
+        }
+        // A CDF entry equal to `u` with an equal neighbour: the binary
+        // search may stop anywhere in that run, so ask it.
+        if self.cdf[i] == u && self.cdf.get(i + 1) == Some(&u) {
+            return self.search(u);
+        }
+        i + 1
+    }
+
+    /// The rank a binary search over the CDF finds: the decider on tied
+    /// CDF entries, and the reference the guide table is tested against.
+    #[cold]
+    fn search(&self, u: f64) -> usize {
         match self
             .cdf
             .binary_search_by(|p| p.partial_cmp(&u).expect("CDF is finite"))
@@ -216,6 +267,53 @@ mod tests {
         }
         for c in counts {
             assert!((c as f64 - 10_000.0).abs() < 800.0, "count {c}");
+        }
+    }
+
+    /// Every `u` the guide table must invert as the binary search does
+    /// for one sampler: each CDF value and its neighbours, each bucket
+    /// edge, and 100 k seeded draws; all within `[0, 1]`.
+    fn guide_probes(zipf: &ZipfSampler, seed: u64) -> Vec<f64> {
+        let buckets = zipf.guide.len();
+        let mut probes: Vec<f64> = zipf
+            .cdf
+            .iter()
+            .flat_map(|&p| [p, p.next_down(), p.next_up()])
+            .chain((0..buckets).map(|j| j as f64 / buckets as f64))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        probes.extend((0..100_000).map(|_| rng.gen::<f64>()));
+        probes.retain(|u| (0.0..=1.0).contains(u));
+        probes
+    }
+
+    #[test]
+    fn guide_table_inverts_exactly_as_the_binary_search() {
+        for n in [1, 2, 3, 19, 20, 128, 1_000, 4_096] {
+            for theta in [0.0, 0.2, 0.5, 0.9, 0.99, 1.2] {
+                let zipf = ZipfSampler::new(n, theta);
+                assert_eq!(zipf.guide.len(), n.next_power_of_two());
+                for u in guide_probes(&zipf, n as u64) {
+                    assert_eq!(zipf.rank_of(u), zipf.search(u), "n {n} θ {theta} u {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guide_table_defers_to_the_binary_search_on_tied_cdf_entries() {
+        // Past rank ~10⁴ the terms of Zipf(4) fall below half an ulp of
+        // the running total, so the CDF's tail is one long run of 1.0.
+        let zipf = ZipfSampler::new(65_536, 4.0);
+        let tied = zipf.cdf.windows(2).filter(|w| w[0] == w[1]).count();
+        assert!(tied > 50_000, "{tied} tied neighbours");
+        for u in guide_probes(&zipf, 4) {
+            assert_eq!(zipf.rank_of(u), zipf.search(u), "u {u}");
+        }
+        // Seeded draws agree with the binary search through `sample`.
+        let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        for _ in 0..10_000 {
+            assert_eq!(zipf.sample(&mut a), zipf.search(b.gen()));
         }
     }
 

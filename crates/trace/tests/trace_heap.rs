@@ -1,7 +1,8 @@
 //! Pins the heap a materialized trace costs, per record, for every
 //! generator. A counting global allocator tracks this thread's live
 //! bytes and their high-water mark, as `crates/core/tests/offline_heap.rs`
-//! does for the off-line policies.
+//! does for the off-line policies, and the bytes it allocates in all, so
+//! a warm stream can be shown to allocate nothing per record.
 //!
 //! A record is 32 B: time 8, block count 8, `BlockId` 12, op 1, padded
 //! to the 8-byte alignment. The streamed generators reserve exactly
@@ -19,9 +20,11 @@ struct CountingAlloc;
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
 }
 
 fn grew(bytes: usize) {
+    ALLOCATED.with(|a| a.set(a.get() + bytes));
     let live = LIVE.with(|l| {
         l.set(l.get() + bytes as isize);
         l.get()
@@ -62,6 +65,13 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let retained = (LIVE.with(Cell::get) - base).max(0) as usize;
     let peak = (PEAK.with(Cell::get) - base).max(0) as usize;
     (out, retained, peak)
+}
+
+/// The bytes `f` allocates, whatever it frees again.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> usize {
+    let before = ALLOCATED.with(Cell::get);
+    drop(f());
+    ALLOCATED.with(Cell::get) - before
 }
 
 /// `size_of::<Record>()`, which `pc_trace` pins at compile time.
@@ -122,9 +132,41 @@ fn oltp_peaks_at_its_skeleton_plus_the_trace() {
     // scratch (at most 16 B per event, and the skeleton holds about
     // 1.15 × requests events) is freed before the trace is reserved, so
     // the peak is the skeleton and the trace together, plus the Zipf
-    // table over the cacheable working set and the per-disk
-    // fresh-block frontier, 8 B an entry each.
+    // sampler over the cacheable working set (its CDF, 8 B a rank, and
+    // its guide table, 4 B for each of the next power of two buckets)
+    // and the per-disk fresh-block frontier, 8 B a disk.
     let skeleton = 2 * REQUESTS * 16;
-    let small = 8 * cfg.cacheable_working_set as usize + 8 * cfg.disk_count() as usize;
+    let ranks = cfg.cacheable_working_set as usize;
+    let zipf = 8 * ranks + 4 * ranks.next_power_of_two();
+    let small = zipf + 8 * cfg.disk_count() as usize;
     assert_eq!(peak, skeleton + REQUESTS * RECORD + small, "peak heap");
+}
+
+#[test]
+fn streams_allocate_nothing_per_record_once_warm() {
+    // Every buffer a stream needs (recency stacks, Zipf tables, per-disk
+    // state) is sized when the stream is built; a record allocates none.
+    let mut streams: [(&str, Box<dyn Iterator<Item = pc_trace::Record>>); 3] = [
+        (
+            "synthetic",
+            Box::new(
+                SyntheticConfig::default()
+                    .with_requests(REQUESTS)
+                    .stream(42),
+            ),
+        ),
+        (
+            "cello",
+            Box::new(CelloConfig::default().with_requests(REQUESTS).stream(42)),
+        ),
+        (
+            "churn",
+            Box::new(churn().with_requests(REQUESTS).stream(42)),
+        ),
+    ];
+    for (name, stream) in &mut streams {
+        assert_eq!(stream.by_ref().take(1_000).count(), 1_000, "{name}");
+        let bytes = allocated_by(|| stream.by_ref().take(10_000).count());
+        assert_eq!(bytes, 0, "{name}: bytes allocated by 10 000 warm records");
+    }
 }
