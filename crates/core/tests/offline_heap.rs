@@ -1,9 +1,9 @@
-//! Pins the heap footprint of the off-line policies. A counting global
-//! allocator tracks this thread's live bytes and their high-water mark;
-//! each test measures one policy's construction (and, for OPG, a whole
-//! replay) against a budget stated in bytes per block access, per
-//! (disk, arrival time) *instant*, and per entry of the largest disk's
-//! block map.
+//! Pins the heap footprint of the off-line policies. The workspace's
+//! counting allocator (`pc-allocmeter`) tracks this thread's live bytes
+//! and their high-water mark; each test measures one policy's
+//! construction (and, for OPG, a whole replay) against a budget stated
+//! in bytes per block access, per (disk, arrival time) *instant*, and
+//! per entry of the largest disk's block map.
 //!
 //! The budgets:
 //!
@@ -28,10 +28,9 @@
 //!   3 572 524 B (19.8 B per access). Now: 721 136 B (4.0 B per access)
 //!   and 985 688 B (5.5 B per access).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashSet;
 
+use pc_allocmeter::{measure, Usage};
 use pc_cache::policy::{Belady, Opg, OpgDpm};
 use pc_cache::{BlockCache, WritePolicy};
 use pc_diskmodel::{DiskPowerSpec, PowerModel};
@@ -40,63 +39,7 @@ use pc_units::{BlockId, BlockNo, DiskId, Joules, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-struct CountingAlloc;
-
-thread_local! {
-    // Per thread, so tests running in parallel do not see each other's
-    // allocations. `const` `Cell`s need no lazy set-up and no
-    // destructor, so touching them from inside the allocator is sound.
-    // Signed, because a thread may free what another allocated.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn grew(bytes: usize) {
-    let live = LIVE.with(|l| {
-        l.set(l.get() + bytes as isize);
-        l.get()
-    });
-    PEAK.with(|p| p.set(p.get().max(live)));
-}
-
-// SAFETY: defers entirely to the system allocator; the counters are a
-// side effect with no bearing on the returned memory. `realloc` keeps
-// the default (allocate, copy, free), so a growing buffer counts its old
-// and new blocks together, as they briefly are.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.with(|l| l.set(l.get() - layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Live bytes now, with the high-water mark reset to it.
-fn start() -> isize {
-    let live = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(live));
-    live
-}
-
-fn live_since(base: isize) -> usize {
-    (LIVE.with(Cell::get) - base).max(0) as usize
-}
-
-fn peak_since(base: isize) -> usize {
-    (PEAK.with(Cell::get) - base).max(0) as usize
-}
+pc_allocmeter::install!();
 
 const DISKS: u32 = 8;
 
@@ -192,16 +135,15 @@ fn opg_stays_within_eight_bytes_per_access_and_sixteen_per_instant() {
     let capacity = 512;
     let power = PowerModel::multi_speed(&DiskPowerSpec::ultrastar_36z15());
 
-    let base = start();
-    let opg = Opg::new(&t, power, OpgDpm::Oracle, Joules::ZERO);
-    let retained = live_since(base);
-    let mut cache = BlockCache::new(capacity, Box::new(opg), WritePolicy::WriteBack);
-    let mut effects = Vec::new();
-    for r in &t {
-        cache.access(r, |_| false, &mut effects);
-    }
-    let peak = peak_since(base);
-    drop((cache, effects));
+    let (retained, Usage { peak, .. }) = measure(|| {
+        let (opg, built) = measure(|| Opg::new(&t, power, OpgDpm::Oracle, Joules::ZERO));
+        let mut cache = BlockCache::new(capacity, Box::new(opg), WritePolicy::WriteBack);
+        let mut effects = Vec::new();
+        for r in &t {
+            cache.access(r, |_| false, &mut effects);
+        }
+        built.retained
+    });
 
     let steady = 8 * shape.accesses
         + 16 * shape.total_instants()
@@ -235,10 +177,7 @@ fn belady_keeps_four_bytes_per_access_and_builds_with_one_disk_map() {
     let t = trace();
     let shape = Shape::of(&t);
 
-    let base = start();
-    let belady = Belady::new(&t);
-    let retained = live_since(base);
-    let peak = peak_since(base);
+    let (belady, Usage { retained, peak, .. }) = measure(|| Belady::new(&t));
     drop(belady);
 
     let steady = 4 * shape.accesses + PER_DISK;

@@ -6,7 +6,7 @@
 //! repro trace export --workload NAME --out FILE.pct [--requests N] [--seed N]
 //! repro trace info FILE.pct
 //! repro trace filter IN.pct --out OUT.pct [--disk N] [--op read|write] [--from-us T] [--until-us T]
-//! repro trace slice IN.pct --out OUT.pct [--skip N] [--take N] [--from-us T] [--until-us T]
+//!                    [--skip N] [--take N]
 //! repro trace merge IN.pct [IN2.pct ...] --out OUT.pct
 //! repro trace rescale IN.pct --out OUT.pct --factor X
 //! ```
@@ -27,11 +27,13 @@
 //! workload — the bridge from `pc-server --capture` back into the
 //! batch harness.
 //!
-//! `repro trace filter|slice|merge|rescale` are streaming surgery
+//! `repro trace filter|merge|rescale` are streaming surgery
 //! operators (see `pc_experiments::surgery`): each reads its inputs
 //! through a lazily-verified memory map and writes a fresh `.pct` file
 //! in constant memory, so trimming or combining multi-GB corpora never
-//! materializes a record vector.
+//! materializes a record vector. `filter`'s `--skip N --take M` cut a
+//! positional window: `--skip` counts file positions before any
+//! predicate, and reading stops once `M` records are written.
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -154,7 +156,7 @@ fn run_one(name: &str, experiment: Experiment, params: &Params, scenario: Option
     println!("[{name} done in {:.1?}]\n", started.elapsed());
 }
 
-/// `repro trace export|info|filter|slice|merge|rescale`: serialize a
+/// `repro trace export|info|filter|merge|rescale`: serialize a
 /// workload generator to a binary `.pct` file, validate one and print
 /// its summary, or rewrite files with the streaming surgery operators.
 /// `Err` is a usage error; failed I/O is reported here and exits 1.
@@ -176,11 +178,9 @@ fn run_trace(args: &[String]) -> Result<ExitCode, String> {
                 }
             })
         }
-        Some(cmd @ ("filter" | "slice" | "merge" | "rescale")) => run_surgery(cmd, &args[1..]),
+        Some(cmd @ ("filter" | "merge" | "rescale")) => run_surgery(cmd, &args[1..]),
         Some(other) => Err(format!("unknown trace sub-command: {other}")),
-        None => {
-            Err("trace needs a sub-command (export, info, filter, slice, merge, rescale)".into())
-        }
+        None => Err("trace needs a sub-command (export, info, filter, merge, rescale)".into()),
     }
 }
 
@@ -227,20 +227,19 @@ fn run_export(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// The operands of one surgery sub-command: every one takes inputs and
-/// `--out`; `filter` and `slice` add their predicates, `rescale` its
-/// factor.
+/// `--out`; `filter` adds its predicates and record range, `rescale`
+/// its factor.
 #[derive(Default)]
 struct SurgeryArgs {
     inputs: Vec<PathBuf>,
     out: Option<PathBuf>,
     filter: surgery::FilterSpec,
-    slice: surgery::SliceSpec,
     factor: Option<f64>,
 }
 
-/// `repro trace filter|slice|rescale IN --out OUT [flags]` and
+/// `repro trace filter|rescale IN --out OUT [flags]` and
 /// `repro trace merge IN [IN2 ...] --out OUT`: one flag loop for all
-/// four operators.
+/// three operators.
 fn run_surgery(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
     let mut s = SurgeryArgs::default();
     let mut flags = Flags::new(args.to_vec());
@@ -255,16 +254,14 @@ fn run_surgery(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
                     _ => Err("expected read or write"),
                 })?);
             }
-            ("filter" | "slice", "--from-us") => {
-                let from = Some(SimTime::from_micros(flags.value(&arg)?));
-                (s.filter.from, s.slice.from) = (from, from);
+            ("filter", "--from-us") => {
+                s.filter.from = Some(SimTime::from_micros(flags.value(&arg)?));
             }
-            ("filter" | "slice", "--until-us") => {
-                let until = Some(SimTime::from_micros(flags.value(&arg)?));
-                (s.filter.until, s.slice.until) = (until, until);
+            ("filter", "--until-us") => {
+                s.filter.until = Some(SimTime::from_micros(flags.value(&arg)?));
             }
-            ("slice", "--skip") => s.slice.skip = flags.value(&arg)?,
-            ("slice", "--take") => s.slice.take = Some(flags.value(&arg)?),
+            ("filter", "--skip") => s.filter.skip = flags.value(&arg)?,
+            ("filter", "--take") => s.filter.take = Some(flags.value(&arg)?),
             ("rescale", "--factor") => s.factor = Some(flags.positive(&arg)?),
             (_, path) if !path.starts_with("--") && (cmd == "merge" || s.inputs.is_empty()) => {
                 s.inputs.push(path.into());
@@ -279,7 +276,6 @@ fn run_surgery(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
         .ok_or_else(|| format!("{cmd} needs an input file"))?;
     let result = match cmd {
         "filter" => surgery::filter(input, &out, &s.filter),
-        "slice" => surgery::slice(input, &out, &s.slice),
         "merge" => surgery::merge(&s.inputs, &out),
         _ => surgery::rescale(input, &out, s.factor.ok_or("rescale needs --factor")?),
     };
@@ -316,10 +312,7 @@ fn trace_usage(error: &str) -> ExitCode {
     );
     eprintln!("       repro trace info FILE.pct");
     eprintln!(
-        "       repro trace filter IN.pct --out OUT.pct [--disk N] [--op read|write] [--from-us T] [--until-us T]"
-    );
-    eprintln!(
-        "       repro trace slice IN.pct --out OUT.pct [--skip N] [--take N] [--from-us T] [--until-us T]"
+        "       repro trace filter IN.pct --out OUT.pct [--disk N] [--op read|write] [--from-us T] [--until-us T] [--skip N] [--take N]"
     );
     eprintln!("       repro trace merge IN.pct [IN2.pct ...] --out OUT.pct");
     eprintln!("       repro trace rescale IN.pct --out OUT.pct --factor X");
@@ -336,7 +329,7 @@ fn usage(error: &str) -> ExitCode {
         "       repro nonstationary [--workload nonstationary:<diurnal|flash-crowd|churn|phase-change>]"
     );
     eprintln!("       repro trace export|info   converts workloads to/inspects .pct files");
-    eprintln!("       repro trace filter|slice|merge|rescale   streaming .pct surgery");
+    eprintln!("       repro trace filter|merge|rescale   streaming .pct surgery");
     eprintln!("       REPRO_JOBS=N repro ...   (used when --jobs is absent; 0 = one per core)");
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!("experiments: {}", names.join(" "));

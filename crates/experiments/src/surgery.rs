@@ -1,5 +1,5 @@
-//! Streaming trace surgery: filter, slice, merge, and rescale `.pct`
-//! files in constant memory.
+//! Streaming trace surgery: filter (by predicate, file position or
+//! both), merge, and rescale `.pct` files in constant memory.
 //!
 //! Every operator reads through [`MappedTrace`] (lazy per-chunk CRC
 //! verification, no materialized `Vec`) and writes through
@@ -8,7 +8,7 @@
 //! chunk's worth of write buffer and nothing else, and every output
 //! re-validates through the same [`MappedTrace`] decoder.
 //!
-//! The `repro trace filter|slice|merge|rescale` subcommands are thin
+//! The `repro trace filter|merge|rescale` subcommands are thin
 //! argument parsers over these functions.
 
 use std::io;
@@ -27,9 +27,15 @@ pub struct SurgeryStats {
     pub written: u64,
 }
 
-/// Predicates for [`filter`]; unset fields match everything.
+/// Predicates and a record range for [`filter`]; unset fields match
+/// everything. The range is applied first: `skip` counts file positions
+/// before any predicate is tested, and `take` bounds the records written.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterSpec {
+    /// Skip this many records (in file order) before testing any.
+    pub skip: u64,
+    /// Write at most this many records, then stop reading.
+    pub take: Option<u64>,
     /// Keep only records addressing this disk.
     pub disk: Option<u32>,
     /// Keep only reads or only writes.
@@ -49,21 +55,9 @@ impl FilterSpec {
     }
 }
 
-/// Bounds for [`slice()`]: a record range, a time range, or both
-/// (intersected). Unset fields are unbounded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SliceSpec {
-    /// Skip this many records (in file order) before keeping any.
-    pub skip: u64,
-    /// Keep at most this many records.
-    pub take: Option<u64>,
-    /// Keep only records at or after this time.
-    pub from: Option<SimTime>,
-    /// Keep only records strictly before this time.
-    pub until: Option<SimTime>,
-}
-
-/// Copies the records of `input` matching `spec` to `output`.
+/// Copies the records of `input` that fall in `spec`'s record range and
+/// match its predicates to `output`. Reading stops once `take` records
+/// are written, so `read` counts the records actually examined.
 ///
 /// The output keeps the input's disk geometry, so record indices stay
 /// valid and a filtered file replays against the same array shape.
@@ -80,30 +74,6 @@ pub fn filter<P: AsRef<Path>, Q: AsRef<Path>>(
     let map = MappedTrace::open(input)?;
     let mut w = TraceFileWriter::create(output, map.disk_count())?;
     let mut read = 0u64;
-    for record in map.records() {
-        let record = record?;
-        read += 1;
-        if spec.matches(&record) {
-            w.push(record)?;
-        }
-    }
-    let written = w.finish()?;
-    Ok(SurgeryStats { read, written })
-}
-
-/// Copies the record/time range `spec` of `input` to `output`.
-///
-/// # Errors
-///
-/// Returns any read-side validation error or write-side I/O error.
-pub fn slice<P: AsRef<Path>, Q: AsRef<Path>>(
-    input: P,
-    output: Q,
-    spec: &SliceSpec,
-) -> io::Result<SurgeryStats> {
-    let map = MappedTrace::open(input)?;
-    let mut w = TraceFileWriter::create(output, map.disk_count())?;
-    let mut read = 0u64;
     let mut kept = 0u64;
     for record in map.records() {
         let record = record?;
@@ -115,13 +85,10 @@ pub fn slice<P: AsRef<Path>, Q: AsRef<Path>>(
             // The record range is exhausted; nothing later can match.
             break;
         }
-        if spec.from.is_some_and(|t| record.time < t)
-            || spec.until.is_some_and(|t| record.time >= t)
-        {
-            continue;
+        if spec.matches(&record) {
+            w.push(record)?;
+            kept += 1;
         }
-        w.push(record)?;
-        kept += 1;
     }
     let written = w.finish()?;
     Ok(SurgeryStats { read, written })
@@ -306,28 +273,30 @@ mod tests {
         let input = export("slice-in", "synthetic", 1_000, 3);
         let full = read_trace(&input).unwrap();
         let output = temp("slice-out");
-        let stats = slice(
+        let stats = filter(
             &input,
             &output,
-            &SliceSpec {
+            &FilterSpec {
                 skip: 100,
                 take: Some(250),
-                ..SliceSpec::default()
+                ..FilterSpec::default()
             },
         )
         .unwrap();
+        // Reading stops at the first record past the take bound.
+        assert_eq!(stats.read, 351);
         assert_eq!(stats.written, 250);
         let back = read_trace(&output).unwrap();
         assert_eq!(back.records(), &full.records()[100..350]);
 
         // A pure time window: bounds are [from, until).
         let mid = full.records()[500].time;
-        let stats = slice(
+        let stats = filter(
             &input,
             &output,
-            &SliceSpec {
+            &FilterSpec {
                 until: Some(mid),
-                ..SliceSpec::default()
+                ..FilterSpec::default()
             },
         )
         .unwrap();

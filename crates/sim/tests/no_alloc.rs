@@ -1,53 +1,27 @@
 //! Proves the zero-allocation per-request contract: once a disk or a
 //! stepper is built and warm, servicing requests performs no heap
-//! allocation. A counting global allocator wraps the system one; the
-//! hot loops must leave this thread's counter untouched.
+//! allocation. The workspace's counting allocator (`pc-allocmeter`)
+//! wraps the system one; the hot loops must leave this thread's count
+//! untouched.
 //!
 //! Scope: `DiskSim::service` and `DiskSim::finish` under every DPM
 //! policy and serve-at-speed (timeline recording off), and
-//! `OnlineStepper::step` under {LRU, PA-LRU} × {WT, WB, WBEU, WTDU}
-//! once every block of the working set has been seen and every pending
-//! set and WTDU log region has reached its high-water mark.
+//! `OnlineStepper::step` under every on-line policy and `meta` × {WT,
+//! WB, WBEU, WTDU}, measured after two warm-up passes: for LRU and
+//! PA-LRU, once every block of the working set has been seen and every
+//! pending set and WTDU log region has reached its high-water mark.
+//! The few cells that still allocate are pinned at their exact count,
+//! with the reason.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-use pc_cache::policy::{OnlinePolicy, PaLruConfig};
+use pc_allocmeter::measure;
 use pc_cache::WritePolicy;
 use pc_diskmodel::{DiskPowerSpec, PowerModel, ServiceModel, ServiceRequest};
 use pc_disksim::{DiskSim, DpmPolicy};
-use pc_sim::{OnlineStepper, SimConfig};
-use pc_trace::{IoOp, Record};
+use pc_sim::{OnlineStepper, PolicySpec, SimConfig};
+use pc_trace::{IoOp, Record, Trace};
 use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
 
-struct CountingAlloc;
-
-thread_local! {
-    // Per thread, so tests running in parallel do not see each other's
-    // allocations. A `const` `Cell<u64>` needs no lazy set-up and no
-    // destructor, so touching it from inside the allocator is sound.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: defers entirely to the system allocator; the counter is a
-// side effect with no bearing on the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
+pc_allocmeter::install!();
 
 /// Idle gaps from queued (1 ms) through every rung of the multi-speed
 /// ladder (10.7 s … 96.1 s) to deep standby, several landing just past a
@@ -79,18 +53,19 @@ fn disk_service_and_finish_do_not_allocate() {
             if serve_at_speed {
                 disk = disk.with_serve_at_speed();
             }
-            let before = allocations();
-            let mut arrival = SimTime::from_secs(1);
-            for (i, gap) in GAPS_MS.iter().cycle().take(240).enumerate() {
-                let request = ServiceRequest {
-                    block: BlockNo::new(i as u64 * 7_919 % 2_000_000),
-                    blocks: 1 + i as u64 % 8,
-                };
-                let served = disk.service(arrival, request);
-                arrival = served.completion.max(arrival) + SimDuration::from_millis(*gap);
-            }
-            disk.finish(disk.ready_at().max(arrival) + SimDuration::from_secs(500));
-            let spent = allocations() - before;
+            let ((), usage) = measure(|| {
+                let mut arrival = SimTime::from_secs(1);
+                for (i, gap) in GAPS_MS.iter().cycle().take(240).enumerate() {
+                    let request = ServiceRequest {
+                        block: BlockNo::new(i as u64 * 7_919 % 2_000_000),
+                        blocks: 1 + i as u64 % 8,
+                    };
+                    let served = disk.service(arrival, request);
+                    arrival = served.completion.max(arrival) + SimDuration::from_millis(*gap);
+                }
+                disk.finish(disk.ready_at().max(arrival) + SimDuration::from_secs(500));
+            });
+            let spent = usage.allocations;
             assert_eq!(
                 spent, 0,
                 "{policy:?} serve_at_speed={serve_at_speed}: {spent} allocations"
@@ -106,22 +81,36 @@ const HOT_SET: u64 = 64;
 const WORKING_SET: u64 = 1_024;
 const STEPS_PER_PASS: u64 = 8 * WORKING_SET;
 
-/// Allocations allowed in one steady-state pass, per stepper cell.
-/// Every cell reads 0; a cell given a non-zero budget states why beside
-/// it. The check is exact, so a cell that improves must be re-pinned.
-const BUDGETS: [(OnlinePolicy, WritePolicy, u64); 8] = [
-    (OnlinePolicy::Lru, WritePolicy::WriteThrough, 0),
-    (OnlinePolicy::Lru, WritePolicy::WriteBack, 0),
-    (OnlinePolicy::Lru, WritePolicy::Wbeu { dirty_limit: 64 }, 0),
-    (OnlinePolicy::Lru, WritePolicy::Wtdu, 0),
-    (OnlinePolicy::PaLru, WritePolicy::WriteThrough, 0),
-    (OnlinePolicy::PaLru, WritePolicy::WriteBack, 0),
-    (
-        OnlinePolicy::PaLru,
-        WritePolicy::Wbeu { dirty_limit: 64 },
-        0,
-    ),
-    (OnlinePolicy::PaLru, WritePolicy::Wtdu, 0),
+/// The write policies, in the order of the budget table's columns.
+const WRITE_POLICIES: [WritePolicy; 4] = [
+    WritePolicy::WriteThrough,
+    WritePolicy::WriteBack,
+    WritePolicy::Wbeu { dirty_limit: 64 },
+    WritePolicy::Wtdu,
+];
+
+/// Allocations allowed in the measured pass (the third), per stepper
+/// cell: every on-line policy and `meta` × the write policies above. A
+/// cell given a non-zero budget states why above its row. The check is
+/// exact, so a cell that improves must be re-pinned.
+const BUDGETS: [(&str, [u64; 4]); 12] = [
+    ("lru", [0, 0, 0, 0]),
+    ("fifo", [0, 0, 0, 0]),
+    ("arc", [0, 0, 0, 0]),
+    // Warm-up growth, 0 from the fifth pass: MQ's queue lists first link higher slots (3 arrays
+    // each), and its resident mix takes the per-disk pending sets and WTDU log to new highs.
+    ("mq", [9, 16, 24, 37]),
+    // WB: one per-disk dirty set first grows past 64 entries (2 048 B, in `BlockCache::mark`).
+    ("lirs", [0, 1, 0, 0]),
+    ("2q", [0, 0, 0, 0]),
+    ("pa-lru", [0, 0, 0, 0]),
+    ("pa-arc", [0, 0, 0, 0]),
+    // WB: three per-disk dirty sets first grow past 64 entries (2 048 B each), 0 in the next pass.
+    ("pa-mq", [0, 3, 0, 0]),
+    ("pa-lirs", [0, 0, 0, 0]),
+    ("pa-2q", [0, 0, 0, 0]),
+    // Every pass: each epoch roll's `IntervalHistogram::cdf` returns a new 352 B `Vec`, 8 a pass.
+    ("meta", [8, 8, 8, 8]),
 ];
 
 /// One pass of the schedule; returns its hits. Every other access goes
@@ -151,21 +140,24 @@ fn pass(stepper: &mut OnlineStepper, time: &mut SimTime, salt: u64) -> u64 {
 /// `write_policy`, after two warm-up passes that give every block of the
 /// working set its table entry and let the scratch buffers, pending
 /// sets and log regions reach their working capacity.
-fn steady_state_allocations(policy: OnlinePolicy, write_policy: WritePolicy) -> u64 {
+fn steady_state_allocations(policy: PolicySpec, write_policy: WritePolicy) -> u64 {
     let cell = format!("{} + {}", policy.name(), write_policy.name());
     let config = SimConfig::default()
         .with_cache_blocks(CACHE_BLOCKS)
         .with_write_policy(write_policy);
-    let pa = PaLruConfig::for_power_model(&config.power_model());
-    let mut stepper = OnlineStepper::new(DISKS, policy.build(CACHE_BLOCKS, &pa), &config);
+    let built = policy.build(
+        &Trace::new(DISKS),
+        &config.power_model(),
+        config.dpm,
+        CACHE_BLOCKS,
+    );
+    let mut stepper = OnlineStepper::new(DISKS, built, &config);
     let mut time = SimTime::ZERO;
     for salt in 0..2 {
         pass(&mut stepper, &mut time, salt);
     }
     let start = stepper.cache_stats();
-    let before = allocations();
-    let hits = pass(&mut stepper, &mut time, 11);
-    let spent = allocations() - before;
+    let (hits, usage) = measure(|| pass(&mut stepper, &mut time, 11));
     let end = stepper.cache_stats();
     assert!(
         hits > 0 && hits < STEPS_PER_PASS,
@@ -183,20 +175,23 @@ fn steady_state_allocations(policy: OnlinePolicy, write_policy: WritePolicy) -> 
         }
         WritePolicy::Wtdu => assert!(end.log_writes > start.log_writes, "{cell}: no log write"),
     }
-    spent
+    usage.allocations
 }
 
 #[test]
 fn stepper_steady_state_allocation_budgets() {
+    let names: Vec<&str> = BUDGETS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names.join(" "), PolicySpec::online_names());
     let mut off_budget = Vec::new();
-    for (policy, write_policy, budget) in BUDGETS {
-        let spent = steady_state_allocations(policy, write_policy);
-        if spent != budget {
-            off_budget.push(format!(
-                "{} + {}: {spent} allocations, budget {budget}",
-                policy.name(),
-                write_policy.name()
-            ));
+    for (name, budgets) in BUDGETS {
+        for (write_policy, budget) in WRITE_POLICIES.into_iter().zip(budgets) {
+            let spent = steady_state_allocations(PolicySpec::online(name).unwrap(), write_policy);
+            if spent != budget {
+                off_budget.push(format!(
+                    "{name} + {}: {spent} allocations, budget {budget}",
+                    write_policy.name()
+                ));
+            }
         }
     }
     assert!(off_budget.is_empty(), "cells off budget: {off_budget:#?}");
@@ -204,6 +199,6 @@ fn stepper_steady_state_allocation_budgets() {
 
 #[test]
 fn stepper_lru_write_through_steady_state_does_not_allocate() {
-    let spent = steady_state_allocations(OnlinePolicy::Lru, WritePolicy::WriteThrough);
+    let spent = steady_state_allocations(PolicySpec::Lru, WritePolicy::WriteThrough);
     assert_eq!(spent, 0, "{spent} allocations in a steady-state pass");
 }

@@ -1,8 +1,9 @@
 //! Pins the heap a materialized trace costs, per record, for every
-//! generator. A counting global allocator tracks this thread's live
-//! bytes and their high-water mark, as `crates/core/tests/offline_heap.rs`
-//! does for the off-line policies, and the bytes it allocates in all, so
-//! a warm stream can be shown to allocate nothing per record.
+//! generator. The workspace's counting allocator (`pc-allocmeter`)
+//! tracks this thread's live bytes and their high-water mark, as for
+//! the off-line policies in `crates/core/tests/offline_heap.rs`, and the
+//! bytes it allocates in all, so a warm stream can be shown to allocate
+//! nothing per record.
 //!
 //! A record is 32 B: time 8, block count 8, `BlockId` 12, op 1, padded
 //! to the 8-byte alignment. The streamed generators reserve exactly
@@ -10,69 +11,10 @@
 //! collecting by `push` alone doubled the buffer past the length, up to
 //! 2× (3 M records reserved room for 4 194 304).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use pc_allocmeter::{measure, Usage};
 use pc_trace::{CelloConfig, NonStationaryConfig, OltpConfig, Scenario, SyntheticConfig, Trace};
 
-struct CountingAlloc;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn grew(bytes: usize) {
-    ALLOCATED.with(|a| a.set(a.get() + bytes));
-    let live = LIVE.with(|l| {
-        l.set(l.get() + bytes as isize);
-        l.get()
-    });
-    PEAK.with(|p| p.set(p.get().max(live)));
-}
-
-// SAFETY: defers entirely to the system allocator; the counters are a
-// side effect with no bearing on the returned memory. `realloc` keeps
-// the default (allocate, copy, free), so a growing buffer counts its old
-// and new blocks together, as they briefly are.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.with(|l| l.set(l.get() - layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result with the heap it retains and the
-/// heap it peaked at, both net of what was live before.
-fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let out = f();
-    let retained = (LIVE.with(Cell::get) - base).max(0) as usize;
-    let peak = (PEAK.with(Cell::get) - base).max(0) as usize;
-    (out, retained, peak)
-}
-
-/// The bytes `f` allocates, whatever it frees again.
-fn allocated_by<T>(f: impl FnOnce() -> T) -> usize {
-    let before = ALLOCATED.with(Cell::get);
-    drop(f());
-    ALLOCATED.with(Cell::get) - before
-}
+pc_allocmeter::install!();
 
 /// `size_of::<Record>()`, which `pc_trace` pins at compile time.
 const RECORD: usize = 32;
@@ -111,8 +53,8 @@ fn streamed_generators_retain_32_bytes_per_record_and_peak_at_the_trace_plus_the
         ),
     ];
     for (name, generate, drain) in generators {
-        let (_, _, stream) = measure(|| drain(REQUESTS));
-        let (trace, retained, peak) = measure(|| generate(REQUESTS));
+        let stream = measure(|| drain(REQUESTS)).1.peak;
+        let (trace, Usage { retained, peak, .. }) = measure(|| generate(REQUESTS));
         assert_eq!(trace.len(), REQUESTS, "{name}");
         assert_eq!(retained, REQUESTS * RECORD, "{name}: retained heap");
         // The trace is reserved before the stream starts, so the two
@@ -124,7 +66,7 @@ fn streamed_generators_retain_32_bytes_per_record_and_peak_at_the_trace_plus_the
 #[test]
 fn oltp_peaks_at_its_skeleton_plus_the_trace() {
     let cfg = OltpConfig::default().with_requests(REQUESTS);
-    let (trace, retained, peak) = measure(|| cfg.generate(42));
+    let (trace, Usage { retained, peak, .. }) = measure(|| cfg.generate(42));
     assert_eq!(trace.len(), REQUESTS);
     assert_eq!(retained, REQUESTS * RECORD, "retained heap");
     // The arrival skeleton reserves 2 × requests events of 16 B (time 8,
@@ -166,7 +108,7 @@ fn streams_allocate_nothing_per_record_once_warm() {
     ];
     for (name, stream) in &mut streams {
         assert_eq!(stream.by_ref().take(1_000).count(), 1_000, "{name}");
-        let bytes = allocated_by(|| stream.by_ref().take(10_000).count());
+        let bytes = measure(|| stream.by_ref().take(10_000).count()).1.allocated;
         assert_eq!(bytes, 0, "{name}: bytes allocated by 10 000 warm records");
     }
 }

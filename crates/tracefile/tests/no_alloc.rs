@@ -1,34 +1,15 @@
 //! Proves the zero-copy replay contract: once a `MappedTrace` is open,
 //! streaming its records — sequentially or through the strided
 //! round-robin access pattern `pc-loadgen` uses — performs no heap
-//! allocation at all. A counting global allocator wraps the system one;
-//! the hot loops must leave the counter untouched.
+//! allocation at all. The workspace's counting allocator
+//! (`pc-allocmeter`) wraps the system one; the hot loops must leave
+//! this thread's count untouched.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use pc_allocmeter::measure;
 use pc_trace::Workload;
 use pc_tracefile::{MappedTrace, TraceWriter};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to the system allocator; the counter is a
-// side effect with no bearing on the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+pc_allocmeter::install!();
 
 #[test]
 fn replay_loops_do_not_allocate_per_record() {
@@ -45,36 +26,30 @@ fn replay_loops_do_not_allocate_per_record() {
     // Sequential stream — the simulator's ingest path. The first pass
     // verifies every chunk CRC on the way through; even that must not
     // allocate.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut blocks = 0u64;
-    for record in map.records() {
-        blocks += record.unwrap().blocks;
-    }
+    let (blocks, usage) = measure(|| map.records().map(|r| r.unwrap().blocks).sum::<u64>());
     assert!(blocks > 0);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
-        after - before,
-        0,
+        usage.allocations, 0,
         "sequential replay must not allocate per record"
     );
 
     // Strided access — pc-loadgen's round-robin deal: connection c
     // reads records c, c+conns, c+2·conns, … straight off the map.
     let conns = 7u64;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut sum = 0u64;
-    for conn in 0..conns {
-        let mut next = conn;
-        while next < map.len() {
-            sum += map.get(next).unwrap().block.block().number();
-            next += conns;
+    let (sum, usage) = measure(|| {
+        let mut sum = 0u64;
+        for conn in 0..conns {
+            let mut next = conn;
+            while next < map.len() {
+                sum += map.get(next).unwrap().block.block().number();
+                next += conns;
+            }
         }
-    }
+        sum
+    });
     assert!(sum > 0);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
-        after - before,
-        0,
+        usage.allocations, 0,
         "strided replay must not allocate per record"
     );
 }
