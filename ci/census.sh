@@ -1,18 +1,28 @@
 #!/usr/bin/env bash
-# Surface census: every `pub` item in crates/*/src needs a caller.
+# Surface census: every `pub` item, CLI flag, `repro trace` sub-command,
+# environment variable and cargo feature in crates/ needs a caller.
 #
+# First pass (kind `pub`):
 # Lists each `pub` fn/struct/enum/trait/type/const/static/mod/union in
 # crates/*/src whose name appears, as a whole word, in no code outside
 # unit tests: non-test crates/*/src (its own definition lines excluded),
 # crates/*/tests, tests/, examples/ and benchmark/src. Comments, `pub use`
 # re-exports and items whose attributes carry `cfg(test)` or
 # `test-support` (bodies included) are not code for this purpose, and
-# such items are not listed either. Rows print as `path:line  name`,
-# with methods named `Type::method`.
+# such items are not listed either. Methods are named `Type::method`.
 #
-# Prints each row whose name is missing from ci/census-keep.txt (one
-# `name reason` per line) and exits 1 if there is any, so a surface
-# nothing reaches is either deleted or kept with a reason.
+# Second pass (kinds `flag`, `subcommand`, `env`, `feature`): each
+# `"--name" =>` match arm, `Some("name") =>` arm of a binary (the
+# `repro trace` sub-commands), `env::var("NAME")` and `[features]` entry
+# must be named outside its own file by .github/workflows/ci.yml, ci/*.sh,
+# tests/, crates/*/tests, examples/, benchmark/ or a Cargo.toml. A flag
+# is reached when any caller names it, as binaries share flag names; a
+# sub-command when one names `trace NAME`. `--help` and `-h` are exempt.
+#
+# Rows print as `path:line  kind  name`. Prints each row whose `kind
+# name` is missing from ci/census-keep.txt (one `kind name reason` per
+# line) and exits 1 if there is any, so a surface nothing reaches is
+# either deleted or kept with a reason.
 # Usage: ci/census.sh (from anywhere in the repository).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,12 +30,12 @@ cd "$(dirname "$0")/.."
 # Every line of the given files as `path:line:text`.
 lines() { git grep --untracked -n -I -e '' -- "$@"; }
 
-rows=$( {
+pub_pass() { {
     lines 'crates/*/src/*.rs' 'benchmark/src/*.rs' | sed 's/^/S:/'
     lines 'crates/*/tests/*.rs' 'tests/*.rs' 'examples/*.rs' | sed 's/^/T:/'
 } | awk '
 function count(s, c) { return gsub(c, "", s) }
-FNR == NR { keep[$1] = 1; next }
+FNR == NR { keep[$1 " " $2] = 1; next }
 {
     kind = substr($0, 1, 1); rest = substr($0, 3)
     p = index(rest, ":"); path = substr(rest, 1, p - 1); rest = substr(rest, p + 1)
@@ -70,7 +80,49 @@ END {
             if (tok[t] in wanted && !((tok[t], at[l]) in def)) used[tok[t]] = 1
     }
     for (i = 1; i <= ndefs; i++)
-        if (!(defs[i] in used) && !(qual[i] in keep)) print where[i] "  " qual[i]
-}' ci/census-keep.txt - )
+        if (!(defs[i] in used) && !(("pub " qual[i]) in keep)) print where[i] "  pub  " qual[i]
+}' ci/census-keep.txt -; }
+
+surface_pass() { {
+    lines Cargo.toml 'crates/*/Cargo.toml' 'crates/*/src/*.rs' | sed 's/^/D:/'
+    lines .github/workflows/ci.yml 'ci/*.sh' ':!ci/census.sh' tests 'crates/*/tests' examples \
+        benchmark Cargo.toml 'crates/*/Cargo.toml' | sed 's/^/C:/'
+} | awk '
+function add(kind, name) { n++; dkind[n] = kind; dname[n] = name; dloc[n] = loc; dpath[n] = path }
+function quoted(s) { sub(/^[^"]*"/, "", s); sub(/".*/, "", s); return s }
+FNR == NR { keep[$1 " " $2] = 1; next }
+{
+    side = substr($0, 1, 1); rest = substr($0, 3)
+    p = index(rest, ":"); path = substr(rest, 1, p - 1); rest = substr(rest, p + 1)
+    p = index(rest, ":"); loc = path ":" substr(rest, 1, p - 1); text = substr(rest, p + 1)
+    if (path != file) { file = path; features = 0 }
+    if (side == "C") {
+        k = split(text, tok, /[^A-Za-z0-9_-]+/)
+        for (t = 1; t <= k; t++) {
+            hits[tok[t]]++; hits_in[tok[t], path]++
+            if (t > 1 && tok[t - 1] == "trace") { hits["trace " tok[t]]++; hits_in["trace " tok[t], path]++ }
+        }
+    } else if (path ~ /Cargo\.toml$/) {
+        if (text ~ /^\[/) features = text ~ /^\[features\]/
+        else if (features && match(text, /^[A-Za-z0-9_-]+/)) add("feature", substr(text, 1, RLENGTH))
+    } else {
+        sub(/\/\/.*/, "", text)
+        if (text ~ /^[ \t]*"-[^"]*"( \| "-[^"]*")* =>/) {
+            k = split(text, tok, "\"")
+            for (t = 2; t < k; t += 2) if (tok[t] ~ /^-/ && tok[t] != "--help" && tok[t] != "-h") add("flag", tok[t])
+        }
+        if (path ~ /\/bin\// && match(text, /Some\("[a-z-]+"\) =>/)) add("subcommand", quoted(substr(text, RSTART)))
+        if (match(text, /env::var(_os)?\("[A-Za-z0-9_]+"/)) add("env", quoted(substr(text, RSTART)))
+    }
+}
+END {
+    for (i = 1; i <= n; i++) {
+        needle = dkind[i] == "subcommand" ? "trace " dname[i] : dname[i]
+        if (hits[needle] == hits_in[needle, dpath[i]] && !((dkind[i] " " dname[i]) in keep))
+            print dloc[i] "  " dkind[i] "  " dname[i]
+    }
+}' ci/census-keep.txt -; }
+
+rows=$(pub_pass; surface_pass)
 
 [ -z "$rows" ] || { echo "$rows"; exit 1; }

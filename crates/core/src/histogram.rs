@@ -149,20 +149,20 @@ impl IntervalHistogram {
 
     /// The cumulative fraction of intervals not exceeding each bin edge —
     /// the Figure-5 curve, as `(edge, F(edge))` pairs.
-    #[must_use]
-    pub fn cdf(&self) -> Vec<(SimDuration, f64)> {
-        let mut out = Vec::with_capacity(self.edges.len());
+    pub fn cdf(&self) -> impl Iterator<Item = (SimDuration, f64)> + '_ {
         let mut cumulative = 0u64;
-        for (bin, &edge) in self.edges.iter().enumerate() {
-            cumulative += self.counts[bin];
-            let f = if self.total == 0 {
-                0.0
-            } else {
-                cumulative as f64 / self.total as f64
-            };
-            out.push((edge, f));
-        }
-        out
+        self.edges
+            .iter()
+            .zip(&self.counts)
+            .map(move |(&edge, &count)| {
+                cumulative += count;
+                let f = if self.total == 0 {
+                    0.0
+                } else {
+                    cumulative as f64 / self.total as f64
+                };
+                (edge, f)
+            })
     }
 }
 
@@ -211,7 +211,7 @@ mod tests {
         for s in [1u64, 1, 2, 8, 30, 100, 2000] {
             h.record(SimDuration::from_secs(s));
         }
-        let cdf = h.cdf();
+        let cdf: Vec<_> = h.cdf().collect();
         for w in cdf.windows(2) {
             assert!(w[0].1 <= w[1].1);
             assert!(w[0].0 < w[1].0);
@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(a.total(), u64::MAX);
         // The distribution is still answerable and sane.
         assert_eq!(a.quantile(0.5), edge);
-        let cdf = a.cdf();
+        let cdf: Vec<_> = a.cdf().collect();
         assert!((cdf[0].1 - 1.0).abs() < 1e-12);
     }
 

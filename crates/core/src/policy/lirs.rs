@@ -337,6 +337,42 @@ mod tests {
     }
 
     #[test]
+    fn directory_stays_within_the_stack_bound_plus_the_cache() {
+        // Ghosts live only in `S` (capped at `stack_bound`) and resident
+        // HIR blocks outside `S` number at most the cache size, so the
+        // directory's growth is warm-up towards that cap: half the
+        // accesses hit a hot set, the rest churn a working set 8× the
+        // cache.
+        const CAPACITY: usize = 256;
+        const WORKING_SET: u64 = 8 * CAPACITY as u64;
+        let mut lirs = Lirs::new(CAPACITY);
+        let mut f = Feeder::new();
+        let cap = lirs.stack_bound + CAPACITY;
+        let mut high_water = Vec::new();
+        for pass in 0..24u64 {
+            let mut high = 0;
+            for i in 0..4 * WORKING_SET {
+                let span = if i % 2 == 0 { 64 } else { WORKING_SET };
+                let j = (i * 2_654_435_761 + pass * 7_919) % span;
+                f.access_bounded(&mut lirs, CAPACITY, blk(0, j), SimTime::ZERO);
+                assert!(
+                    lirs.dir.len() <= cap,
+                    "pass {pass}: {} > {cap}",
+                    lirs.dir.len()
+                );
+                high = high.max(lirs.dir.len());
+            }
+            high_water.push(high);
+        }
+        let (warm_up, settled) = high_water.split_at(high_water.len() / 2);
+        let peak = warm_up.iter().max().copied().unwrap_or(0);
+        assert!(
+            settled.iter().all(|&h| h <= peak),
+            "high-water marks keep rising: {high_water:?}"
+        );
+    }
+
+    #[test]
     fn eviction_targets_resident_hir_first() {
         let mut lirs = Lirs::new(4); // lir_capacity 3, hir region 1
         let mut f = Feeder::new();

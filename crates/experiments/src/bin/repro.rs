@@ -5,10 +5,6 @@
 //! repro all [--scale X] [--seed N] [--jobs N]
 //! repro trace export --workload NAME --out FILE.pct [--requests N] [--seed N]
 //! repro trace info FILE.pct
-//! repro trace filter IN.pct --out OUT.pct [--disk N] [--op read|write] [--from-us T] [--until-us T]
-//!                    [--skip N] [--take N]
-//! repro trace merge IN.pct [IN2.pct ...] --out OUT.pct
-//! repro trace rescale IN.pct --out OUT.pct --factor X
 //! ```
 //!
 //! Experiments: `table1 table2 table3 fig2 fig3 fig4 fig5 fig6a fig6b
@@ -16,9 +12,8 @@
 //! paper-comparable trace lengths (`fig9-*` take minutes); `--scale 0.05`
 //! gives quick smoke runs.
 //!
-//! Sweeps fan out over worker threads: `--jobs N` (or the `REPRO_JOBS`
-//! environment variable when the flag is absent) pins the count, 0 or
-//! unset means one per core. Results are identical for any job count.
+//! Sweeps fan out over worker threads: `--jobs N` pins the count, 0 or
+//! no flag means one per core. Results are identical for any job count.
 //!
 //! `repro trace export` serializes a workload generator to the binary
 //! `.pct` format (see `pc-tracefile`); `repro trace info` validates a
@@ -26,25 +21,16 @@
 //! on any experiment replays that file in place of every generated
 //! workload — the bridge from `pc-server --capture` back into the
 //! batch harness.
-//!
-//! `repro trace filter|merge|rescale` are streaming surgery
-//! operators (see `pc_experiments::surgery`): each reads its inputs
-//! through a lazily-verified memory map and writes a fresh `.pct` file
-//! in constant memory, so trimming or combining multi-GB corpora never
-//! materializes a record vector. `filter`'s `--skip N --take M` cut a
-//! positional window: `--skip` counts file positions before any
-//! predicate, and reading stops once `M` records are written.
 
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pc_experiments::{ablations, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, traceio};
-use pc_experiments::{nonstationary, surgery, table1, table2, table3};
+use pc_experiments::{nonstationary, table1, table2, table3};
 use pc_experiments::{ExperimentOutput, Params, TraceKind};
 use pc_sim::cli::Flags;
-use pc_trace::{IoOp, Scenario, Workload};
-use pc_units::SimTime;
+use pc_trace::{Scenario, Workload};
 
 /// An experiment driver; only `nonstationary` reads the scenario.
 type Experiment = fn(&Params, Option<Scenario>) -> ExperimentOutput;
@@ -100,14 +86,13 @@ fn main() -> ExitCode {
 fn run(args: Vec<String>) -> Result<(), String> {
     let mut which = None;
     let mut params = Params::paper();
-    let mut jobs = None;
     let mut workload = None;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--scale" => params.scale = flags.positive(&arg)?,
             "--seed" => params.seed = flags.value(&arg)?,
-            "--jobs" => jobs = Some(flags.value(&arg)?),
+            "--jobs" => params.jobs = flags.value(&arg)?,
             "--trace" => params.trace_file = Some(flags.string(&arg)?.into()),
             "--workload" => workload = Some(flags.string(&arg)?),
             "--help" | "-h" => return Err(String::new()),
@@ -115,10 +100,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             other => return Err(format!("unexpected argument: {other}")),
         }
     }
-    // The flag wins; REPRO_JOBS covers scripted runs that can't pass one.
-    params.jobs = jobs
-        .or_else(|| env::var("REPRO_JOBS").ok()?.parse().ok())
-        .unwrap_or(params.jobs);
     let which = which.ok_or("missing experiment name")?;
 
     // `--workload nonstationary:NAME` narrows the nonstationary matrix
@@ -156,10 +137,9 @@ fn run_one(name: &str, experiment: Experiment, params: &Params, scenario: Option
     println!("[{name} done in {:.1?}]\n", started.elapsed());
 }
 
-/// `repro trace export|info|filter|merge|rescale`: serialize a
-/// workload generator to a binary `.pct` file, validate one and print
-/// its summary, or rewrite files with the streaming surgery operators.
-/// `Err` is a usage error; failed I/O is reported here and exits 1.
+/// `repro trace export|info`: serialize a workload generator to a
+/// binary `.pct` file, or validate one and print its summary. `Err` is
+/// a usage error; failed I/O is reported here and exits 1.
 fn run_trace(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("export") => run_export(&args[1..]),
@@ -178,9 +158,8 @@ fn run_trace(args: &[String]) -> Result<ExitCode, String> {
                 }
             })
         }
-        Some(cmd @ ("filter" | "merge" | "rescale")) => run_surgery(cmd, &args[1..]),
         Some(other) => Err(format!("unknown trace sub-command: {other}")),
-        None => Err("trace needs a sub-command (export, info, filter, merge, rescale)".into()),
+        None => Err("trace needs a sub-command (export, info)".into()),
     }
 }
 
@@ -226,96 +205,12 @@ fn run_export(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// The operands of one surgery sub-command: every one takes inputs and
-/// `--out`; `filter` adds its predicates and record range, `rescale`
-/// its factor.
-#[derive(Default)]
-struct SurgeryArgs {
-    inputs: Vec<PathBuf>,
-    out: Option<PathBuf>,
-    filter: surgery::FilterSpec,
-    factor: Option<f64>,
-}
-
-/// `repro trace filter|rescale IN --out OUT [flags]` and
-/// `repro trace merge IN [IN2 ...] --out OUT`: one flag loop for all
-/// three operators.
-fn run_surgery(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
-    let mut s = SurgeryArgs::default();
-    let mut flags = Flags::new(args.to_vec());
-    while let Some(arg) = flags.next() {
-        match (cmd, arg.as_str()) {
-            (_, "--out") => s.out = Some(flags.string(&arg)?.into()),
-            ("filter", "--disk") => s.filter.disk = Some(flags.value(&arg)?),
-            ("filter", "--op") => {
-                s.filter.op = Some(flags.parse_with(&arg, |op| match op {
-                    "read" => Ok(IoOp::Read),
-                    "write" => Ok(IoOp::Write),
-                    _ => Err("expected read or write"),
-                })?);
-            }
-            ("filter", "--from-us") => {
-                s.filter.from = Some(SimTime::from_micros(flags.value(&arg)?));
-            }
-            ("filter", "--until-us") => {
-                s.filter.until = Some(SimTime::from_micros(flags.value(&arg)?));
-            }
-            ("filter", "--skip") => s.filter.skip = flags.value(&arg)?,
-            ("filter", "--take") => s.filter.take = Some(flags.value(&arg)?),
-            ("rescale", "--factor") => s.factor = Some(flags.positive(&arg)?),
-            (_, path) if !path.starts_with("--") && (cmd == "merge" || s.inputs.is_empty()) => {
-                s.inputs.push(path.into());
-            }
-            (_, other) => return Err(format!("unexpected argument: {other}")),
-        }
-    }
-    let out = s.out.ok_or_else(|| format!("{cmd} needs --out"))?;
-    let input = s
-        .inputs
-        .first()
-        .ok_or_else(|| format!("{cmd} needs an input file"))?;
-    let result = match cmd {
-        "filter" => surgery::filter(input, &out, &s.filter),
-        "merge" => surgery::merge(&s.inputs, &out),
-        _ => surgery::rescale(input, &out, s.factor.ok_or("rescale needs --factor")?),
-    };
-    Ok(report_surgery(cmd, result, &out))
-}
-
-/// Prints a surgery outcome uniformly and maps errors to exit code 1.
-fn report_surgery(
-    what: &str,
-    result: std::io::Result<surgery::SurgeryStats>,
-    out: &Path,
-) -> ExitCode {
-    match result {
-        Ok(stats) => {
-            println!(
-                "{what}: read {} records, wrote {} to {}",
-                stats.read,
-                stats.written,
-                out.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {what}: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
 fn trace_usage(error: &str) -> ExitCode {
     eprintln!("error: {error}\n");
     eprintln!(
         "usage: repro trace export --workload <synthetic|oltp|cello96|nonstationary:SCENARIO> --out FILE.pct [--requests N] [--seed N]"
     );
     eprintln!("       repro trace info FILE.pct");
-    eprintln!(
-        "       repro trace filter IN.pct --out OUT.pct [--disk N] [--op read|write] [--from-us T] [--until-us T] [--skip N] [--take N]"
-    );
-    eprintln!("       repro trace merge IN.pct [IN2.pct ...] --out OUT.pct");
-    eprintln!("       repro trace rescale IN.pct --out OUT.pct --factor X");
     ExitCode::from(2)
 }
 
@@ -329,8 +224,6 @@ fn usage(error: &str) -> ExitCode {
         "       repro nonstationary [--workload nonstationary:<diurnal|flash-crowd|churn|phase-change>]"
     );
     eprintln!("       repro trace export|info   converts workloads to/inspects .pct files");
-    eprintln!("       repro trace filter|merge|rescale   streaming .pct surgery");
-    eprintln!("       REPRO_JOBS=N repro ...   (used when --jobs is absent; 0 = one per core)");
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!("experiments: {}", names.join(" "));
     if error.is_empty() {

@@ -34,7 +34,7 @@ pub fn run(params: &Params) -> ExperimentOutput {
     }
 
     let mut t = Table::new(["interval ≤", "F(x) hot disk", "F(x) cacheable disk"]);
-    for ((edge, f_hot), (_, f_cache)) in hists[0].cdf().into_iter().zip(hists[1].cdf()) {
+    for ((edge, f_hot), (_, f_cache)) in hists[0].cdf().zip(hists[1].cdf()) {
         if f_hot < 0.002 && f_cache < 0.002 {
             continue;
         }

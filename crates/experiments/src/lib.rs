@@ -44,7 +44,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod nonstationary;
-pub mod surgery;
 pub mod sweep;
 pub mod table1;
 pub mod table2;

@@ -16,7 +16,7 @@ fn usage() -> String {
         "usage: pc-loadgen [--addr HOST:PORT] \
 [--workload synthetic|oltp|cello96|nonstationary:SCENARIO] \
 [--trace FILE.pct] \
-[--conns N] [--connections N] [--secs S] [--seed N] [--rate REQ_PER_SEC] [--shutdown] \
+[--conns N] [--connections N] [--secs S] [--seed N] [--rate REQ_PER_SEC] \
 [--io-timeout-secs S] \
 [--payload] [--block-bytes N] \
 [--in-process] [--shards N] [--policy NAME] [--write-policy NAME] [--reqs N] \
@@ -42,7 +42,6 @@ struct Args {
     load: LoadgenConfig,
     /// The `--in-process` cluster; its `disks` follow the workload.
     engine: EngineConfig,
-    shutdown: bool,
     in_process: bool,
     reqs: Option<usize>,
 }
@@ -50,7 +49,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut load = LoadgenConfig::new("127.0.0.1:7070".to_owned());
     let mut engine = EngineConfig::new(8, 1).with_policy(PolicySpec::PaLru);
-    let mut shutdown = false;
     let mut in_process = false;
     let mut reqs = None;
 
@@ -82,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => load.trace = Some(flags.string(&flag)?.into()),
             "--payload" => load.payload = true,
             "--block-bytes" => load.block_bytes = flags.within(&flag, 1, MAX_BLOCK_BYTES)?,
-            "--shutdown" => shutdown = true,
             "--in-process" => in_process = true,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
@@ -96,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         load,
         engine,
-        shutdown,
         in_process,
         reqs,
     })
@@ -140,13 +136,6 @@ fn main() -> ExitCode {
         }
     };
     print!("{}", report.render());
-    if args.shutdown {
-        if let Err(e) = pc_server::loadgen::send_shutdown(&args.load.addr) {
-            eprintln!("pc-loadgen: shutdown: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("pc-loadgen: server acknowledged shutdown");
-    }
     // A run with zero responses, or shards that never accounted any
     // energy, is a failed run even if the sockets behaved.
     if report.responses == 0 {

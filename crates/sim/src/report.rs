@@ -290,7 +290,7 @@ fn push_disk_json(out: &mut String, d: &DiskReport) {
 fn push_hist_json(out: &mut String, h: &IntervalHistogram) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"total\":{},\"cdf\":[", h.total());
-    for (i, (edge, frac)) in h.cdf().into_iter().enumerate() {
+    for (i, (edge, frac)) in h.cdf().enumerate() {
         if i > 0 {
             out.push(',');
         }
