@@ -16,8 +16,16 @@
 # `repro trace` sub-commands), `env::var("NAME")` and `[features]` entry
 # must be named outside its own file by .github/workflows/ci.yml, ci/*.sh,
 # tests/, crates/*/tests, examples/, benchmark/ or a Cargo.toml. A flag
-# is reached when any caller names it, as binaries share flag names; a
-# sub-command when one names `trace NAME`. `--help` and `-h` are exempt.
+# or sub-command belongs to a program: the binary whose file defines it,
+# or every binary of the crate for a library file (pc-server and
+# pc-loadgen share the engine flags). It is reached only where a caller
+# line names it after a program token naming its own program, the
+# nearest such token before it on that line: `repro`, `pc-server`,
+# `pc-loadgen`, `pc-benchmark`, or ci/smoke.sh's `--server-args` and
+# `--loadgen-args`, which pass their words to pc-server and pc-loadgen.
+# A sub-command is named as `trace NAME`. The refusals in ci.yml's
+# "Retired surface is gone" step call nothing. `--help` and `-h` are
+# exempt.
 #
 # Rows print as `path:line  kind  name`. Prints each row whose `kind
 # name` is missing from ci/census-keep.txt (one `kind name reason` per
@@ -90,17 +98,33 @@ surface_pass() { {
 } | awk '
 function add(kind, name) { n++; dkind[n] = kind; dname[n] = name; dloc[n] = loc; dpath[n] = path }
 function quoted(s) { sub(/^[^"]*"/, "", s); sub(/".*/, "", s); return s }
+function crate(p) { split(p, part, "/"); return part[2] }
+function program(p) { sub(/.*\//, "", p); sub(/\.rs$/, "", p); gsub(/_/, "-", p); return p }
+# Whether a caller names `needle` after a program token naming one of
+# the programs of the definition at `p`.
+function bound(needle, p,   progs, n, i) {
+    progs = p ~ /\/bin\// ? program(p) : bins[crate(p)]
+    n = split(progs, each, " ")
+    for (i = 1; i <= n; i++) if ((needle, each[i]) in reached) return 1
+    return 0
+}
 FNR == NR { keep[$1 " " $2] = 1; next }
 {
     side = substr($0, 1, 1); rest = substr($0, 3)
     p = index(rest, ":"); path = substr(rest, 1, p - 1); rest = substr(rest, p + 1)
     p = index(rest, ":"); loc = path ":" substr(rest, 1, p - 1); text = substr(rest, p + 1)
-    if (path != file) { file = path; features = 0 }
+    if (path != file) { file = path; features = 0; retired = 0 }
+    if (path ~ /^crates\/[^\/]+\/src\/bin\/[^\/]+\.rs$/) bins[crate(path)] = bins[crate(path)] " " program(path)
     if (side == "C") {
-        k = split(text, tok, /[^A-Za-z0-9_-]+/)
+        if (path == ".github/workflows/ci.yml" && text ~ /^ *- name:/) retired = text ~ /- name: Retired surface is gone/
+        if (retired) next
+        k = split(text, tok, /[^A-Za-z0-9_-]+/); prog = ""
         for (t = 1; t <= k; t++) {
-            hits[tok[t]]++; hits_in[tok[t], path]++
-            if (t > 1 && tok[t - 1] == "trace") { hits["trace " tok[t]]++; hits_in["trace " tok[t], path]++ }
+            if (tok[t] ~ /^(repro|pc-server|pc-loadgen|pc-benchmark)$/) { prog = tok[t]; continue }
+            if (tok[t] == "--server-args") { prog = "pc-server"; continue }
+            if (tok[t] == "--loadgen-args") { prog = "pc-loadgen"; continue }
+            hits[tok[t]]++; hits_in[tok[t], path]++; reached[tok[t], prog] = 1
+            if (t > 1 && tok[t - 1] == "trace") reached["trace " tok[t], prog] = 1
         }
     } else if (path ~ /Cargo\.toml$/) {
         if (text ~ /^\[/) features = text ~ /^\[features\]/
@@ -118,7 +142,9 @@ FNR == NR { keep[$1 " " $2] = 1; next }
 END {
     for (i = 1; i <= n; i++) {
         needle = dkind[i] == "subcommand" ? "trace " dname[i] : dname[i]
-        if (hits[needle] == hits_in[needle, dpath[i]] && !((dkind[i] " " dname[i]) in keep))
+        if (dkind[i] == "flag" || dkind[i] == "subcommand") unreached = !bound(needle, dpath[i])
+        else unreached = hits[needle] == hits_in[needle, dpath[i]]
+        if (unreached && !((dkind[i] " " dname[i]) in keep))
             print dloc[i] "  " dkind[i] "  " dname[i]
     }
 }' ci/census-keep.txt -; }

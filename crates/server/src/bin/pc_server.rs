@@ -130,7 +130,7 @@ fn main() -> ExitCode {
         .map(|a| a.to_string())
         .unwrap_or(args.addr);
     println!(
-        "pc-server listening on {addr} shards={} disks={} policy={} write_policy={} cache_blocks={} shard_queue={} front_end={}{} crc32c={}",
+        "pc-server listening on {addr} shards={} disks={} policy={} write_policy={} cache_blocks={} shard_queue={} front_end={}{} crc32c={} fill={}",
         args.engine.shards,
         args.engine.disks,
         args.engine.policy.name(),
@@ -147,6 +147,7 @@ fn main() -> ExitCode {
             .map(|s| format!(" slow_shard={}:{}us", s.shard, s.micros))
             .unwrap_or_default(),
         pc_crc::kernel(),
+        pc_server::fill_kernel(),
     );
     if let Some(path) = &args.capture {
         println!("pc-server capturing to {}", path.display());

@@ -50,16 +50,104 @@ const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// word *i* is `mix(seed + (i+1)·γ)` and a trailing partial word is the
 /// prefix of the next one. Any reader can re-derive (and so verify) any
 /// block's pristine contents, and a shorter fill is always a prefix of a
-/// longer one.
+/// longer one. Runs the kernel [`fill_kernel`] names; every kernel
+/// writes the same bytes.
 pub fn fill_block(disk: u32, block: u64, buf: &mut [u8]) {
-    // One multiplicative mix keeps neighbouring blocks' streams
-    // unrelated even though their seeds differ by one.
-    let mut counter = (u64::from(disk) << 32 | 0x5EED)
+    FillKernel::detect().fill(seed(disk, block), buf);
+}
+
+/// The kernel [`fill_block`] runs on this CPU: `"avx512"` (AVX-512F,
+/// DQ and VL), `"avx2"` or `"portable"`.
+#[must_use]
+pub fn fill_kernel() -> &'static str {
+    FillKernel::detect().name()
+}
+
+/// The counter `(disk, block)`'s image starts from. One multiplicative
+/// mix keeps neighbouring blocks' streams unrelated even though their
+/// seeds differ by one.
+fn seed(disk: u32, block: u64) -> u64 {
+    (u64::from(disk) << 32 | 0x5EED)
         .wrapping_mul(GAMMA)
-        .wrapping_add(block.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    // Each word depends on the counter alone, never on the previous
-    // word's mix, so consecutive words' multiplies overlap in the
-    // pipeline instead of forming one serial chain.
+        .wrapping_add(block.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+}
+
+/// The fill kernels. Each writes the same bytes; they differ only in
+/// speed and in the CPU features they need.
+#[derive(Clone, Copy)]
+enum FillKernel {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+impl FillKernel {
+    /// Every kernel, in the order [`FillKernel::detect`] prefers them.
+    const ALL: [FillKernel; 3] = [FillKernel::Avx512, FillKernel::Avx2, FillKernel::Portable];
+
+    /// The first kernel of [`FillKernel::ALL`] this CPU runs.
+    #[inline]
+    fn detect() -> FillKernel {
+        Self::ALL
+            .into_iter()
+            .find(|kernel| kernel.runs_here())
+            .unwrap_or(FillKernel::Portable)
+    }
+
+    /// Whether this CPU has the features the kernel needs. The checks
+    /// read a cached bit set, so asking per block costs nothing.
+    #[inline]
+    fn runs_here(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::is_x86_feature_detected as has;
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            FillKernel::Avx512 => has!("avx512f") && has!("avx512dq") && has!("avx512vl"),
+            #[cfg(target_arch = "x86_64")]
+            FillKernel::Avx2 => has!("avx2"),
+            FillKernel::Portable => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            FillKernel::Avx512 => "avx512",
+            FillKernel::Avx2 => "avx2",
+            FillKernel::Portable => "portable",
+        }
+    }
+
+    /// Fills `buf` with the image that starts from counter `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU does not run the kernel.
+    #[inline]
+    fn fill(self, seed: u64, buf: &mut [u8]) {
+        assert!(self.runs_here(), "{} fill on a CPU without it", self.name());
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `fill_avx512` only requires AVX-512F, DQ and VL,
+            // which `runs_here` (`is_x86_feature_detected!`) confirmed.
+            #[allow(unsafe_code)]
+            FillKernel::Avx512 => unsafe { fill_avx512(seed, buf) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `fill_avx2` only requires AVX2, which `runs_here`
+            // (`is_x86_feature_detected!`) confirmed.
+            #[allow(unsafe_code)]
+            FillKernel::Avx2 => unsafe { fill_avx2(seed, buf) },
+            _ => fill_portable(seed, buf),
+        }
+    }
+}
+
+/// The portable kernel: one running counter, bumped by γ per word.
+/// Each word depends on the counter alone, never on the previous
+/// word's mix, so consecutive words' multiplies overlap in the
+/// pipeline instead of forming one serial chain.
+fn fill_portable(mut counter: u64, buf: &mut [u8]) {
     let mut chunks = buf.chunks_exact_mut(8);
     for chunk in &mut chunks {
         counter = counter.wrapping_add(GAMMA);
@@ -70,6 +158,36 @@ pub fn fill_block(disk: u32, block: u64, buf: &mut [u8]) {
         let bytes = mix(counter.wrapping_add(GAMMA)).to_le_bytes();
         tail.copy_from_slice(&bytes[..tail.len()]);
     }
+}
+
+/// The vector kernels' body: word *i* computed from its index alone, a
+/// form LLVM vectorises (`vpmullq` for the 64-bit multiplies under
+/// AVX-512). Always inlined, so it compiles under each caller's target
+/// features. Without SIMD it is slower than [`fill_portable`].
+#[inline(always)]
+fn fill_indexed(seed: u64, buf: &mut [u8]) {
+    let words = buf.len() / 8;
+    let (body, tail) = buf.split_at_mut(words * 8);
+    for (i, chunk) in body.chunks_exact_mut(8).enumerate() {
+        let counter = seed.wrapping_add((i as u64 + 1).wrapping_mul(GAMMA));
+        chunk.copy_from_slice(&mix(counter).to_le_bytes());
+    }
+    if !tail.is_empty() {
+        let counter = seed.wrapping_add((words as u64 + 1).wrapping_mul(GAMMA));
+        tail.copy_from_slice(&mix(counter).to_le_bytes()[..tail.len()]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn fill_avx512(seed: u64, buf: &mut [u8]) {
+    fill_indexed(seed, buf);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_avx2(seed: u64, buf: &mut [u8]) {
+    fill_indexed(seed, buf);
 }
 
 /// SplitMix64's output function.
@@ -294,6 +412,35 @@ mod tests {
             let mut short = vec![0u8; n];
             fill_block(6, 1 << 33, &mut short);
             assert_eq!(short, full[..n], "{n}-byte fill");
+        }
+    }
+
+    /// Every kernel this CPU runs writes the portable kernel's bytes, at
+    /// every length through a 4 KiB block and a partial word past it,
+    /// including where the counter wraps (`(6, u64::MAX)`).
+    #[test]
+    fn every_fill_kernel_matches_the_portable_one() {
+        let coords = [(0, 0), (u32::MAX, 1 << 40), (6, u64::MAX)];
+        let mut want = vec![0u8; 4104];
+        let mut got = vec![0u8; 4104];
+        for kernel in FillKernel::ALL {
+            if !kernel.runs_here() {
+                println!("skipped the {} fill: this CPU lacks it", kernel.name());
+                continue;
+            }
+            for (disk, block) in coords {
+                for len in 0..=want.len() {
+                    fill_portable(seed(disk, block), &mut want[..len]);
+                    got[..len].fill(0xA5);
+                    kernel.fill(seed(disk, block), &mut got[..len]);
+                    assert_eq!(
+                        got[..len],
+                        want[..len],
+                        "{} fill of ({disk}, {block}), {len} bytes",
+                        kernel.name()
+                    );
+                }
+            }
         }
     }
 

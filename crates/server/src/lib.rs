@@ -37,9 +37,11 @@
 //! assert!(snapshot.total_energy() > pc_units::Joules::ZERO);
 //! ```
 
-// `unsafe` is denied crate-wide; the one exception is [`poller`],
-// which wraps the epoll/eventfd syscalls behind a safe API and is the
-// only module allowed to opt in.
+// `unsafe` is denied crate-wide. The exceptions are [`poller`], which
+// wraps the epoll/eventfd syscalls behind a safe API and is the only
+// module allowed to opt in, and, in `data::fill_block`, the two calls
+// into the `#[target_feature]` fill kernels, each after the
+// `is_x86_feature_detected!` check that proves the CPU runs it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -57,7 +59,7 @@ pub mod stats;
 
 pub use capture::{Capture, CaptureReport, CaptureRing, DEFAULT_CAPTURE_QUEUE};
 pub use conn::Conn;
-pub use data::{fill_block, BlockStore};
+pub use data::{fill_block, fill_kernel, BlockStore};
 pub use loadgen::{run_in_process, run_tcp, InProcReport, LoadReport, LoadgenConfig};
 pub use poller::{Event, Interest, Poller, Waker};
 pub use server::{RunSummary, Server};

@@ -29,8 +29,6 @@ use pc_units::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pc_crc::crc32c;
-
 use crate::data::fill_block;
 use crate::poller::{Interest, Poller};
 use crate::protocol::{
@@ -94,8 +92,8 @@ pub struct LoadgenConfig {
     pub io_timeout: Duration,
     /// Drive the protocol-v2 data plane: writes carry their block
     /// payloads (`WRITE_DATA`), reads are `READ_DATA`, and every `DATA`
-    /// reply is verified — CRC32C and exact contents — against the
-    /// deterministic disk image the server serves.
+    /// reply is verified byte for byte against the deterministic disk
+    /// image the server serves.
     pub payload: bool,
     /// Payload bytes per block in `payload` mode; must match the
     /// server's block size.
@@ -226,8 +224,8 @@ pub struct LoadReport {
     pub idle_conns: u64,
     /// Payload bytes carried by `DATA` replies (payload mode only).
     pub payload_bytes: u64,
-    /// `DATA` replies whose CRC or contents did not match the expected
-    /// disk image — any non-zero value is a data-plane bug.
+    /// `DATA` replies whose contents did not match the expected disk
+    /// image — any non-zero value is a data-plane bug.
     pub verify_failures: u64,
     /// `CORRUPT` replies: the server's CRC check caught a damaged slab
     /// frame (expected non-zero only under `--corrupt-rate` fault
@@ -892,11 +890,11 @@ impl HotConn {
             Response::Data { payload, .. } => {
                 self.stats.payload_bytes += payload.len() as u64;
                 if let Some(bb) = self.data {
-                    // Verify the reply against the deterministic image:
-                    // CRC first, then exact bytes.
+                    // Verify the reply against the deterministic image,
+                    // byte for byte.
                     self.scratch.clear();
                     image_payload(p.disk, p.block, p.blocks, bb, &mut self.scratch);
-                    if crc32c(&payload) != crc32c(&self.scratch) || payload != self.scratch {
+                    if payload != self.scratch {
                         self.stats.verify_failures += 1;
                     }
                 }
