@@ -17,15 +17,25 @@
 # must be named outside its own file by .github/workflows/ci.yml, ci/*.sh,
 # tests/, crates/*/tests, examples/, benchmark/ or a Cargo.toml. A flag
 # or sub-command belongs to a program: the binary whose file defines it,
-# or every binary of the crate for a library file (pc-server and
-# pc-loadgen share the engine flags). It is reached only where a caller
-# line names it after a program token naming its own program, the
-# nearest such token before it on that line: `repro`, `pc-server`,
-# `pc-loadgen`, `pc-benchmark`, or ci/smoke.sh's `--server-args` and
-# `--loadgen-args`, which pass their words to pc-server and pc-loadgen.
-# A sub-command is named as `trace NAME`. The refusals in ci.yml's
-# "Retired surface is gone" step call nothing. `--help` and `-h` are
-# exempt.
+# or, for a library file, each binary of its crate that calls a
+# `parse_flag` (the engine flags of `EngineConfig::parse_flag`, which
+# only pc-server reads). It is reached only where a caller line names it
+# after a program token naming its own program, the nearest such token
+# before it on that line: `repro`, `pc-server`, `pc-loadgen`,
+# `pc-benchmark`, or ci/smoke.sh's `--server-args` and `--loadgen-args`,
+# which pass their words to pc-server and pc-loadgen. A sub-command is
+# named as `trace NAME`. The refusals in ci.yml's "Retired surface is
+# gone" step call nothing. `--help` and `-h` are exempt.
+#
+# Third pass (kind `doc`): every inline code span of DESIGN.md, README.md
+# and EXPERIMENTS.md (fenced blocks skipped) that is an identifier or a
+# `Type::path` must occur, each `::` segment and with a trailing `()`
+# dropped, as a whole word in crates/, tests/, examples/, benchmark/src,
+# ci/ (this script and its keep file excluded) or .github/. Every
+# `--flag` in a span must be a flag a program defines: the program the
+# span names before it, as in the second pass, or any program if it
+# names none; flags after `cargo` are cargo's. The flag half runs inside
+# the second pass, which knows the definitions.
 #
 # Rows print as `path:line  kind  name`. Prints each row whose `kind
 # name` is missing from ci/census-keep.txt (one `kind name reason` per
@@ -37,6 +47,26 @@ cd "$(dirname "$0")/.."
 
 # Every line of the given files as `path:line:text`.
 lines() { git grep --untracked -n -I -e '' -- "$@"; }
+
+# Inline code spans of the docs as `path:line:span`; a span may wrap a
+# line, and is reported at the line it opens on.
+doc_spans() { lines DESIGN.md README.md EXPERIMENTS.md | awk '
+{
+    p = index($0, ":"); path = substr($0, 1, p - 1); rest = substr($0, p + 1)
+    p = index(rest, ":"); num = substr(rest, 1, p - 1); text = substr(rest, p + 1)
+    if (path != file) { file = path; fence = 0; open = 0 }
+    if (text ~ /^[ \t]*```/) { fence = !fence; next }
+    if (fence) next
+    if (text ~ /^[ \t]*$/) open = 0
+    n = split(text, part, "`")
+    for (i = 1; i <= n; i++) {
+        if (open) span = span (i == 1 ? " " : "") part[i]
+        if (i == n) break
+        if (open) print at ":" span
+        else { at = path ":" num; span = "" }
+        open = !open
+    }
+}'; }
 
 pub_pass() { {
     lines 'crates/*/src/*.rs' 'benchmark/src/*.rs' | sed 's/^/S:/'
@@ -95,16 +125,19 @@ surface_pass() { {
     lines Cargo.toml 'crates/*/Cargo.toml' 'crates/*/src/*.rs' | sed 's/^/D:/'
     lines .github/workflows/ci.yml 'ci/*.sh' ':!ci/census.sh' tests 'crates/*/tests' examples \
         benchmark Cargo.toml 'crates/*/Cargo.toml' | sed 's/^/C:/'
+    doc_spans | sed 's/^/M:/'
 } | awk '
 function add(kind, name) { n++; dkind[n] = kind; dname[n] = name; dloc[n] = loc; dpath[n] = path }
+function is_program(s) { return s ~ /^(repro|pc-server|pc-loadgen|pc-benchmark)$/ }
 function quoted(s) { sub(/^[^"]*"/, "", s); sub(/".*/, "", s); return s }
 function crate(p) { split(p, part, "/"); return part[2] }
 function program(p) { sub(/.*\//, "", p); sub(/\.rs$/, "", p); gsub(/_/, "-", p); return p }
+# The programs of the flag or sub-command defined at `p`, into `each`.
+function programs(p) { return split(p ~ /\/bin\// ? program(p) : readers[crate(p)], each, " ") }
 # Whether a caller names `needle` after a program token naming one of
 # the programs of the definition at `p`.
-function bound(needle, p,   progs, n, i) {
-    progs = p ~ /\/bin\// ? program(p) : bins[crate(p)]
-    n = split(progs, each, " ")
+function bound(needle, p,   n, i) {
+    n = programs(p)
     for (i = 1; i <= n; i++) if ((needle, each[i]) in reached) return 1
     return 0
 }
@@ -114,13 +147,20 @@ FNR == NR { keep[$1 " " $2] = 1; next }
     p = index(rest, ":"); path = substr(rest, 1, p - 1); rest = substr(rest, p + 1)
     p = index(rest, ":"); loc = path ":" substr(rest, 1, p - 1); text = substr(rest, p + 1)
     if (path != file) { file = path; features = 0; retired = 0 }
-    if (path ~ /^crates\/[^\/]+\/src\/bin\/[^\/]+\.rs$/) bins[crate(path)] = bins[crate(path)] " " program(path)
-    if (side == "C") {
+    if (path ~ /^crates\/[^\/]+\/src\/bin\/[^\/]+\.rs$/ && text ~ /\.parse_flag\(/)
+        readers[crate(path)] = readers[crate(path)] " " program(path)
+    if (side == "M") {
+        k = split(text, tok, /[^A-Za-z0-9_-]+/); prog = ""
+        for (t = 1; t <= k; t++) {
+            if (is_program(tok[t]) || tok[t] == "cargo") prog = tok[t]
+            else if (tok[t] ~ /^--[a-z]/ && tok[t] != "--help" && prog != "cargo") { m++; mname[m] = tok[t]; mprog[m] = prog; mloc[m] = loc }
+        }
+    } else if (side == "C") {
         if (path == ".github/workflows/ci.yml" && text ~ /^ *- name:/) retired = text ~ /- name: Retired surface is gone/
         if (retired) next
         k = split(text, tok, /[^A-Za-z0-9_-]+/); prog = ""
         for (t = 1; t <= k; t++) {
-            if (tok[t] ~ /^(repro|pc-server|pc-loadgen|pc-benchmark)$/) { prog = tok[t]; continue }
+            if (is_program(tok[t])) { prog = tok[t]; continue }
             if (tok[t] == "--server-args") { prog = "pc-server"; continue }
             if (tok[t] == "--loadgen-args") { prog = "pc-loadgen"; continue }
             hits[tok[t]]++; hits_in[tok[t], path]++; reached[tok[t], prog] = 1
@@ -146,9 +186,33 @@ END {
         else unreached = hits[needle] == hits_in[needle, dpath[i]]
         if (unreached && !((dkind[i] " " dname[i]) in keep))
             print dloc[i] "  " dkind[i] "  " dname[i]
+        if (dkind[i] != "flag") continue
+        defined[dname[i], ""] = 1
+        for (j = programs(dpath[i]); j > 0; j--) defined[dname[i], each[j]] = 1
     }
+    for (i = 1; i <= m; i++)
+        if (!((mname[i], mprog[i]) in defined) && !(("doc " mname[i]) in keep))
+            print mloc[i] "  doc  " mname[i]
 }' ci/census-keep.txt -; }
 
-rows=$(pub_pass; surface_pass)
+docs_pass() {
+    local ids
+    ids=$(doc_spans | awk '{
+        p = index($0, ":"); p += index(substr($0, p + 1), ":"); span = substr($0, p + 1)
+        sub(/\(\)$/, "", span)
+        if (span !~ /^[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*$/) next
+        n = split(span, seg, "::")
+        for (i = 1; i <= n; i++) print substr($0, 1, p - 1) "\t" seg[i]
+    }')
+    {
+        awk '$1 == "doc" { print $2 }' ci/census-keep.txt
+        cut -f2 <<<"$ids" | sort -u |
+            git grep -h -o -w -F -f /dev/stdin -- crates tests examples benchmark/src ci .github \
+                ':!ci/census.sh' ':!ci/census-keep.txt'
+    } | awk -F'\t' 'FNR == NR { known[$0] = 1; next }
+        !($2 in known) { print $1 "  doc  " $2 }' - <(printf '%s\n' "$ids")
+}
+
+rows=$(pub_pass; surface_pass; docs_pass)
 
 [ -z "$rows" ] || { echo "$rows"; exit 1; }

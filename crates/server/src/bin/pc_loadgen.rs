@@ -1,14 +1,12 @@
 //! The `pc-loadgen` client: replay a workload against a `pc-server`
-//! over M concurrent connections (or through the in-process cluster)
-//! and print a closing report.
+//! over M concurrent connections and print a closing report.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use pc_server::protocol::MAX_BLOCK_BYTES;
-use pc_server::{run_in_process, run_tcp, EngineConfig, LoadgenConfig};
+use pc_server::{run_tcp, LoadgenConfig};
 use pc_sim::cli::Flags;
-use pc_sim::PolicySpec;
 use pc_trace::Workload;
 
 fn usage() -> String {
@@ -18,9 +16,7 @@ fn usage() -> String {
 [--trace FILE.pct] \
 [--conns N] [--connections N] [--secs S] [--seed N] [--rate REQ_PER_SEC] \
 [--io-timeout-secs S] \
-[--payload] [--block-bytes N] \
-[--in-process] [--shards N] [--policy NAME] [--write-policy NAME] [--reqs N] \
-[--shard-queue N] [--slow-shard IDX:MICROS]\n\
+[--payload] [--block-bytes N]\n\
   nonstationary scenarios (diurnal, flash-crowd, churn, phase-change)\n\
   shift their request mix mid-run — pair with `pc-server --policy meta`\n\
   to watch the adaptive policy switch in STATS.\n\
@@ -38,25 +34,10 @@ fn usage() -> String {
     )
 }
 
-struct Args {
-    load: LoadgenConfig,
-    /// The `--in-process` cluster; its `disks` follow the workload.
-    engine: EngineConfig,
-    in_process: bool,
-    reqs: Option<usize>,
-}
-
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<LoadgenConfig, String> {
     let mut load = LoadgenConfig::new("127.0.0.1:7070".to_owned());
-    let mut engine = EngineConfig::new(8, 1).with_policy(PolicySpec::PaLru);
-    let mut in_process = false;
-    let mut reqs = None;
-
     let mut flags = Flags::from_env();
     while let Some(flag) = flags.next() {
-        if engine.parse_flag(&flag, &mut flags)? {
-            continue;
-        }
         match flag.as_str() {
             "--addr" => load.addr = flags.string(&flag)?,
             "--workload" => {
@@ -69,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
             "--secs" => load.secs = flags.seconds(&flag)?,
             "--seed" => load.seed = flags.value(&flag)?,
             "--rate" => load.rate = Some(flags.value(&flag)?),
-            "--reqs" => reqs = Some(flags.value(&flag)?),
             "--io-timeout-secs" => {
                 let secs = flags.seconds(&flag)?;
                 if secs <= 0.0 {
@@ -80,55 +60,36 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => load.trace = Some(flags.string(&flag)?.into()),
             "--payload" => load.payload = true,
             "--block-bytes" => load.block_bytes = flags.within(&flag, 1, MAX_BLOCK_BYTES)?,
-            "--in-process" => in_process = true,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
-    engine.check()?;
-    if let Some(n) = reqs {
-        load.workload = load.workload.clone().with_requests(n);
-    }
-    engine.disks = load.workload.disk_count();
-    Ok(Args {
-        load,
-        engine,
-        in_process,
-        reqs,
-    })
+    Ok(load)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let load = match parse_args() {
+        Ok(load) => load,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
 
-    if args.in_process {
-        if args.load.trace.is_some() {
-            eprintln!("pc-loadgen: --trace replays over TCP; drop --in-process");
-            return ExitCode::FAILURE;
-        }
-        return run_in_process_mode(&args);
-    }
-
-    let source = match &args.load.trace {
+    let source = match &load.trace {
         Some(path) => format!("trace:{}", path.display()),
-        None => args.load.workload.name().to_owned(),
+        None => load.workload.name().to_owned(),
     };
     println!(
         "pc-loadgen: {} conns={} connections={} secs={} seed={} -> {}",
         source,
-        args.load.conns,
-        args.load.connections.max(args.load.conns),
-        args.load.secs,
-        args.load.seed,
-        args.load.addr,
+        load.conns,
+        load.connections.max(load.conns),
+        load.secs,
+        load.seed,
+        load.addr,
     );
-    let report = match run_tcp(&args.load) {
+    let report = match run_tcp(&load) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pc-loadgen: {e}");
@@ -170,33 +131,9 @@ fn main() -> ExitCode {
         eprintln!("pc-loadgen: {} reads answered CORRUPT", report.corrupt);
         return ExitCode::FAILURE;
     }
-    if args.load.payload && report.payload_bytes == 0 {
+    if load.payload && report.payload_bytes == 0 {
         eprintln!("pc-loadgen: payload mode moved zero payload bytes");
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
-}
-
-fn run_in_process_mode(args: &Args) -> ExitCode {
-    let workload = args
-        .load
-        .workload
-        .clone()
-        .with_requests(args.reqs.unwrap_or(100_000));
-    let report = run_in_process(&args.engine, &workload, args.load.seed);
-    println!(
-        "pc-loadgen (in-process): {} submitted={} served={} hits={} seed={}",
-        workload.name(),
-        report.submitted,
-        report.served,
-        report.hits,
-        args.load.seed,
-    );
-    println!(
-        "backpressure: busy_rejects={} retries=0 exhausted=0",
-        report.busy_rejects
-    );
-    print!("{}", report.snapshot.render_table());
-    println!("{}", report.snapshot.to_json());
     ExitCode::SUCCESS
 }

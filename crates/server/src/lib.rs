@@ -14,14 +14,14 @@
 //! Two binaries ship with the crate:
 //!
 //! * `pc-server` — the daemon (graceful SIGTERM drain, closing report).
-//! * `pc-loadgen` — the load generator (also hosts the deterministic
-//!   `--in-process` mode, which needs no sockets at all).
+//! * `pc-loadgen` — the TCP load generator.
 //!
 //! See DESIGN.md §8 for the architecture discussion.
 //!
 //! # Examples
 //!
-//! In-process, no sockets (the deterministic mode):
+//! In-process, no sockets (the deterministic mode, a library API
+//! with no binary of its own):
 //!
 //! ```
 //! use pc_server::shard::{EngineConfig, InProcCluster};
@@ -60,11 +60,11 @@ pub mod stats;
 pub use capture::{Capture, CaptureReport, CaptureRing, DEFAULT_CAPTURE_QUEUE};
 pub use conn::Conn;
 pub use data::{fill_block, fill_kernel, BlockStore};
-pub use loadgen::{run_in_process, run_tcp, InProcReport, LoadReport, LoadgenConfig};
+pub use loadgen::{run_tcp, LoadReport, LoadgenConfig};
 pub use poller::{Event, Interest, Poller, Waker};
 pub use server::{RunSummary, Server};
 pub use shard::{
-    parse_slow_shard, shard_of, EngineConfig, InProcCluster, ShardEngine, SlowShard, SubmitOutcome,
+    parse_slow_shard, shard_of, EngineConfig, InProcCluster, ShardEngine, SlowShard,
     DEFAULT_QUEUE_BOUND,
 };
 pub use stats::{parse_stats_json, CaptureSnapshot, ClusterSnapshot, ShardSnapshot, StatsSummary};

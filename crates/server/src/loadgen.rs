@@ -35,7 +35,7 @@ use crate::protocol::{
     encode_data_request, encode_request, FrameBuf, Request, Response, DEFAULT_BLOCK_BYTES,
     MAX_DATA_BLOCKS,
 };
-use crate::stats::{parse_stats_json, ClusterSnapshot, StatsSummary};
+use crate::stats::{parse_stats_json, StatsSummary};
 
 /// The largest in-flight window of a metadata connection.
 const WINDOW_CAP: usize = 32 * 1024;
@@ -1026,75 +1026,9 @@ impl HotConn {
     }
 }
 
-/// The closing report of a deterministic in-process run: client-side
-/// tallies plus the final cluster snapshot with closed energy books.
-#[derive(Debug)]
-pub struct InProcReport {
-    /// Requests submitted to the cluster.
-    pub submitted: u64,
-    /// Requests admitted and executed.
-    pub served: u64,
-    /// Served requests that hit the cache.
-    pub hits: u64,
-    /// Requests rejected at a full shard queue (`submitted` minus
-    /// `served`); rejected requests never touch the energy books.
-    pub busy_rejects: u64,
-    /// The final snapshot, with idle tails closed.
-    pub snapshot: ClusterSnapshot,
-}
-
-/// Runs the workload through an in-process cluster (no sockets): the
-/// deterministic mode. Backpressure is modelled in virtual time — with
-/// a `--slow-shard` delay and a tiny queue bound the same records are
-/// rejected on every run.
-#[must_use]
-pub fn run_in_process(
-    engine: &crate::shard::EngineConfig,
-    workload: &Workload,
-    seed: u64,
-) -> InProcReport {
-    let mut cluster = crate::shard::InProcCluster::new(engine);
-    let mut submitted = 0u64;
-    let mut served = 0u64;
-    let mut hits = 0u64;
-    for record in workload.stream(seed) {
-        submitted += 1;
-        if let Some(outcome) = cluster.submit(&record).served() {
-            served += 1;
-            hits += u64::from(outcome.hit);
-        }
-    }
-    let busy_rejects = cluster.busy_rejects().iter().sum();
-    InProcReport {
-        submitted,
-        served,
-        hits,
-        busy_rejects,
-        snapshot: cluster.into_snapshot(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::EngineConfig;
-
-    #[test]
-    fn in_process_mode_is_deterministic_end_to_end() {
-        let w = Workload::parse("synthetic").unwrap().with_requests(4_000);
-        let engine = EngineConfig::new(2, 4);
-        let r1 = run_in_process(&engine, &w, 7);
-        let r2 = run_in_process(&engine, &w, 7);
-        assert_eq!(r1.submitted, 4_000);
-        assert_eq!(r1.served, 4_000, "an unslowed cluster admits everything");
-        assert_eq!(r1.busy_rejects, 0);
-        assert_eq!(
-            (r1.submitted, r1.served, r1.hits),
-            (r2.submitted, r2.served, r2.hits)
-        );
-        assert_eq!(r1.snapshot.to_json(), r2.snapshot.to_json());
-        assert!(r1.hits > 0, "a 4k-request zipf stream must hit sometimes");
-    }
 
     fn pending(attempt: u32) -> Pending {
         Pending {

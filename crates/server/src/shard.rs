@@ -7,14 +7,13 @@
 //! totals are the sum of the per-shard books; the paper's batch
 //! experiments remain the ground truth for single-timeline energy.
 
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
 use pc_cache::WritePolicy;
 use pc_sim::cli::Flags;
 use pc_sim::{OnlineStepper, PolicySpec, SimConfig, StepOutcome};
 use pc_trace::{IoOp, Record, Trace};
-use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
+use pc_units::{BlockId, BlockNo, DiskId, SimTime};
 use rustc_hash::FxHasher;
 
 use crate::data::{BlockStore, ReadOutcome};
@@ -43,9 +42,10 @@ pub fn shard_of(disk: DiskId, block: BlockNo, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Debug fault injection: delay every request on one shard so the
-/// overload/backpressure path becomes deterministically reachable in
-/// tests and CI (`--slow-shard IDX:MICROS`).
+/// Debug fault injection for the TCP server: one shard's thread sleeps
+/// before every request, so the overload/backpressure path becomes
+/// reachable in tests and CI (`--slow-shard IDX:MICROS`). The
+/// in-process cluster has no queue and ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlowShard {
     /// Index of the shard to slow down.
@@ -78,7 +78,8 @@ pub struct EngineConfig {
     /// policy, DPM, disk model).
     pub sim: SimConfig,
     /// Per-shard admission-queue bound in requests; a full queue
-    /// answers `BUSY` instead of buffering.
+    /// answers `BUSY` instead of buffering. TCP server only: the
+    /// in-process cluster has no queue.
     pub queue_bound: usize,
     /// Optional per-request delay injected into one shard (fault
     /// injection for overload tests).
@@ -186,9 +187,9 @@ impl EngineConfig {
         self
     }
 
-    /// Reads one of the five engine flags that `pc-server` and
-    /// `pc-loadgen --in-process` share (`--shards`, `--policy`,
-    /// `--write-policy`, `--shard-queue`, `--slow-shard`) from `flags`.
+    /// Reads one of `pc-server`'s five engine flags (`--shards`,
+    /// `--policy`, `--write-policy`, `--shard-queue`, `--slow-shard`)
+    /// from `flags`; `pc-server` is the only program that takes them.
     /// Returns `Ok(false)`, consuming nothing, when `flag` is not one of
     /// them. Call [`check`](EngineConfig::check) once all flags are in.
     ///
@@ -223,7 +224,8 @@ impl EngineConfig {
         Ok(true)
     }
 
-    /// Checks what no single flag can: the slowed shard exists.
+    /// Checks what no single `pc-server` flag can: the slowed shard
+    /// exists.
     ///
     /// # Errors
     ///
@@ -429,37 +431,6 @@ impl ShardEngine {
     }
 }
 
-/// What happened to one submitted record in the in-process cluster.
-#[derive(Debug, Clone, Copy)]
-pub enum SubmitOutcome {
-    /// The request was admitted and executed.
-    Served {
-        /// The shard that served it.
-        shard: usize,
-        /// The simulation outcome.
-        outcome: StepOutcome,
-    },
-    /// The shard's admission queue was full: the request was rejected
-    /// and never touched the cache or the energy books.
-    Busy {
-        /// The shard that rejected it.
-        shard: usize,
-        /// Queue depth at rejection time.
-        depth: usize,
-    },
-}
-
-impl SubmitOutcome {
-    /// The executed outcome, if the request was admitted.
-    #[must_use]
-    pub fn served(&self) -> Option<StepOutcome> {
-        match *self {
-            SubmitOutcome::Served { outcome, .. } => Some(outcome),
-            SubmitOutcome::Busy { .. } => None,
-        }
-    }
-}
-
 /// A whole cluster in one thread: the deterministic in-process mode.
 ///
 /// Drives the same request → shard → cache → energy path as the TCP
@@ -467,24 +438,15 @@ impl SubmitOutcome {
 /// runs over the same stream produce identical counters — the
 /// foundation of the end-to-end determinism tests.
 ///
-/// Backpressure is modelled in *virtual* time so it is deterministic
-/// too: each shard serves one request per [`SlowShard`] delay (zero for
-/// un-slowed shards), admitted requests occupy a queue slot until their
-/// virtual completion time passes, and a submit that finds the queue at
-/// its bound is answered [`SubmitOutcome::Busy`] — exactly the protocol
-/// the TCP server speaks, minus the sockets.
+/// There is no admission queue here: every submitted record is served,
+/// and the snapshots read 0 for `busy_rejects`, `queue_depth` and
+/// `queue_high_water`. `BUSY` belongs to the TCP path's bounded shard
+/// queues ([`crate::queue`]) and is tested there, over real sockets.
 #[derive(Debug)]
 pub struct InProcCluster {
     policy: String,
     write_policy: String,
-    queue_bound: usize,
     shards: Vec<ShardEngine>,
-    /// Injected per-request service delay per shard.
-    delay: Vec<SimDuration>,
-    /// Virtual completion times of admitted-but-unfinished requests.
-    pending: Vec<VecDeque<SimTime>>,
-    busy_rejects: Vec<u64>,
-    high_water: Vec<u64>,
 }
 
 impl InProcCluster {
@@ -494,65 +456,21 @@ impl InProcCluster {
         InProcCluster {
             policy: cfg.policy.name(),
             write_policy: cfg.sim.write_policy.name().to_owned(),
-            queue_bound: cfg.queue_bound,
             shards: (0..cfg.shards).map(|i| ShardEngine::new(i, cfg)).collect(),
-            delay: (0..cfg.shards)
-                .map(|i| SimDuration::from_micros(cfg.slow_delay_micros(i)))
-                .collect(),
-            pending: vec![VecDeque::new(); cfg.shards],
-            busy_rejects: vec![0; cfg.shards],
-            high_water: vec![0; cfg.shards],
         }
     }
 
-    /// Routes one record through admission control and, if admitted,
-    /// the cache/energy engine.
-    pub fn submit(&mut self, record: &Record) -> SubmitOutcome {
+    /// Routes one record to its shard and runs it through the
+    /// cache/energy engine at the record's own time.
+    pub fn submit(&mut self, record: &Record) -> StepOutcome {
         let s = shard_of(record.block.disk(), record.block.block(), self.shards.len());
-        let t = record.time;
-        let q = &mut self.pending[s];
-        // Requests whose virtual service completed by now have left the
-        // queue.
-        while q.front().is_some_and(|&done| done <= t) {
-            q.pop_front();
-        }
-        if q.len() >= self.queue_bound {
-            self.busy_rejects[s] += 1;
-            return SubmitOutcome::Busy {
-                shard: s,
-                depth: q.len(),
-            };
-        }
-        // Service starts when the previous request finishes (or now).
-        let start = q.back().copied().unwrap_or(t).max(t);
-        q.push_back(start + self.delay[s]);
-        self.high_water[s] = self.high_water[s].max(q.len() as u64);
-        let outcome = self.shards[s].ingest(
-            t,
+        self.shards[s].ingest(
+            record.time,
             record.block.disk().index(),
             record.block.block().number(),
             record.blocks,
             record.op == IoOp::Write,
-        );
-        SubmitOutcome::Served { shard: s, outcome }
-    }
-
-    /// Per-shard `BUSY` rejections so far.
-    #[must_use]
-    pub fn busy_rejects(&self) -> &[u64] {
-        &self.busy_rejects
-    }
-
-    fn decorate(&self, mut snap: ShardSnapshot, live: bool) -> ShardSnapshot {
-        let s = snap.shard;
-        snap.busy_rejects = self.busy_rejects[s];
-        snap.queue_depth = if live {
-            self.pending[s].len() as u64
-        } else {
-            0
-        };
-        snap.queue_high_water = self.high_water[s];
-        snap
+        )
     }
 
     /// A live cluster snapshot.
@@ -561,28 +479,17 @@ impl InProcCluster {
         ClusterSnapshot::new(
             self.policy.clone(),
             self.write_policy.clone(),
-            self.shards
-                .iter()
-                .map(|e| self.decorate(e.snapshot(), true))
-                .collect(),
+            self.shards.iter().map(ShardEngine::snapshot).collect(),
         )
     }
 
-    /// Closes every shard's books and returns the final snapshot (the
-    /// modelled queues are drained: depth gauges read zero, the
-    /// high-water marks and reject counters survive).
+    /// Closes every shard's books and returns the final snapshot.
     #[must_use]
     pub fn into_snapshot(self) -> ClusterSnapshot {
-        let (busy, hw) = (self.busy_rejects, self.high_water);
         let snaps = self
             .shards
             .into_iter()
             .map(ShardEngine::into_snapshot)
-            .map(|mut snap| {
-                snap.busy_rejects = busy[snap.shard];
-                snap.queue_high_water = hw[snap.shard];
-                snap
-            })
             .collect();
         ClusterSnapshot::new(self.policy, self.write_policy, snaps)
     }
@@ -620,6 +527,49 @@ mod tests {
             assert!(shard.snapshot().meta.is_none(), "{name}: no meta gauges");
         }
         assert!(PolicySpec::online("belady").is_none());
+    }
+
+    /// The policy table as `pc-server` reads it: every online policy
+    /// name, `meta` and every write-policy spelling parse through
+    /// `parse_flag` and serve a short stream into closed books.
+    #[test]
+    fn every_policy_table_name_parses_and_serves() {
+        const POLICIES: [&str; 12] = [
+            "lru", "fifo", "arc", "mq", "lirs", "2q", "pa-lru", "pa-arc", "pa-mq", "pa-lirs",
+            "pa-2q", "meta",
+        ];
+        const WRITE_POLICIES: [&str; 7] = [
+            "write-back",
+            "write-through",
+            "wb",
+            "wt",
+            "wbeu",
+            "wbeu:8",
+            "wtdu",
+        ];
+        for name in OnlinePolicy::ALL.map(OnlinePolicy::name) {
+            assert!(POLICIES.contains(&name), "{name} untested");
+        }
+        let w = Workload::parse("synthetic").unwrap().with_requests(2_000);
+        let flags = POLICIES
+            .map(|p| ("--policy", p))
+            .into_iter()
+            .chain(WRITE_POLICIES.map(|p| ("--write-policy", p)));
+        for (flag, name) in flags {
+            let mut cfg = EngineConfig::new(8, w.disk_count());
+            let parsed = cfg.parse_flag(flag, &mut Flags::new(vec![name.into()]));
+            assert_eq!(parsed, Ok(true), "{flag} {name}");
+            let mut cluster = InProcCluster::new(&cfg);
+            for r in w.stream(42) {
+                cluster.submit(&r);
+            }
+            let snap = cluster.into_snapshot();
+            assert_eq!(snap.total_requests(), 2_000, "{flag} {name}");
+            assert!(
+                snap.shards.iter().all(|s| s.energy > Joules::ZERO),
+                "{flag} {name}: a shard booked no energy"
+            );
+        }
     }
 
     #[test]
@@ -764,69 +714,6 @@ mod tests {
         assert_eq!(parse_slow_shard("3"), None);
         assert_eq!(parse_slow_shard("x:5"), None);
         assert_eq!(parse_slow_shard("1:"), None);
-    }
-
-    #[test]
-    fn tiny_queue_plus_slow_shard_rejects_deterministically() {
-        let w = Workload::parse("synthetic").unwrap().with_requests(20_000);
-        // The synthetic stream's virtual inter-arrival mean is 250 ms,
-        // so the injected service delay must dwarf it for the 8-slot
-        // queue to back up (this is virtual time: the test stays fast).
-        let cfg = EngineConfig::new(4, 4)
-            .with_queue_bound(8)
-            .with_slow_shard(SlowShard {
-                shard: 0,
-                micros: 10_000_000,
-            });
-        let run = || {
-            let mut cluster = InProcCluster::new(&cfg);
-            let mut served = 0u64;
-            let mut busy = 0u64;
-            for r in w.stream(42) {
-                match cluster.submit(&r) {
-                    SubmitOutcome::Served { .. } => served += 1,
-                    SubmitOutcome::Busy { shard, depth } => {
-                        assert_eq!(shard, 0, "only the slow shard may reject");
-                        assert!(depth >= 8, "rejection implies a full queue");
-                        busy += 1;
-                    }
-                }
-            }
-            (served, busy, cluster.into_snapshot())
-        };
-        let (served, busy, snap) = run();
-        assert!(busy > 0, "the slow shard must overflow its 8-slot queue");
-        assert_eq!(served + busy, 20_000, "every request answered exactly once");
-        assert_eq!(
-            snap.total_requests(),
-            served,
-            "rejected requests must not reach the engine"
-        );
-        assert_eq!(snap.total_busy_rejects(), busy);
-        assert_eq!(snap.shards[0].queue_high_water, 8);
-        assert!(
-            snap.shards[1..].iter().all(|s| s.busy_rejects == 0),
-            "fast shards never reject"
-        );
-
-        // Byte-identical accounting across runs, including under overload.
-        let (served2, busy2, snap2) = run();
-        assert_eq!((served, busy), (served2, busy2));
-        assert_eq!(snap.to_json(), snap2.to_json());
-    }
-
-    #[test]
-    fn unslowed_cluster_never_rejects() {
-        let w = Workload::parse("synthetic").unwrap().with_requests(5_000);
-        let mut cluster = InProcCluster::new(&EngineConfig::new(2, 4).with_queue_bound(1));
-        for r in w.stream(9) {
-            assert!(
-                cluster.submit(&r).served().is_some(),
-                "zero-delay shards drain instantly and never reject"
-            );
-        }
-        let snap = cluster.into_snapshot();
-        assert_eq!(snap.total_busy_rejects(), 0);
     }
 
     #[test]

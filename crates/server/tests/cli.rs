@@ -1,10 +1,12 @@
-//! Bad flag values are errors that name the flag, never panics: each
-//! input below used to abort `pc-server` or `pc-loadgen` with exit code
-//! 101. The TCP cases point at a port nothing listens on, so a value
-//! that slipped past the flag reader would fail later with a connect
-//! error that does not name the flag; the server cases that would
-//! otherwise start serving point at a port no socket can bind, for the
-//! same reason.
+//! Bad flag values are errors (exit 1) that name the flag, never
+//! panics: most inputs below used to abort `pc-server` or `pc-loadgen`
+//! with exit code 101. `pc-loadgen` is a TCP client only, so the engine
+//! flags, which belong to `pc-server`, and the retired in-process flags
+//! are unknown to it; it used to parse them and carry on. The TCP cases
+//! point at a port nothing listens on, so a value that slipped past the
+//! flag reader would fail later with a connect error that does not name
+//! the flag; the server cases that would otherwise start serving point
+//! at a port no socket can bind, for the same reason.
 
 use std::process::Command;
 
@@ -20,10 +22,7 @@ fn assert_rejected(bin: &str, args: &[&str], flag: &str) {
     let out = Command::new(bin).args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     let code = out.status.code();
-    assert!(
-        !out.status.success() && code.is_some() && code != Some(101),
-        "{args:?}: exit {code:?}, stderr {stderr}"
-    );
+    assert_eq!(code, Some(1), "{args:?}: stderr {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
 }
@@ -48,7 +47,18 @@ fn pc_server_rejects_block_sizes_the_protocol_cannot_carry() {
 #[test]
 fn pc_loadgen_rejects_bad_values_without_panicking() {
     let bin = env!("CARGO_BIN_EXE_pc-loadgen");
-    assert_rejected(bin, &["--in-process", "--shards", "0"], "--shards");
+    for args in [
+        &["--policy", "lru"][..],
+        &["--shards", "4"],
+        &["--write-policy", "wb"],
+        &["--shard-queue", "8"],
+        &["--slow-shard", "0:5"],
+        &["--reqs", "5"],
+        &["--in-process"],
+    ] {
+        let flag = format!("unknown flag {}", args[0]);
+        assert_rejected(bin, &[&["--addr", NOWHERE][..], args].concat(), &flag);
+    }
     for (flag, value) in [
         ("--conns", "0"),
         ("--secs", "1e30"),

@@ -1,13 +1,14 @@
 //! Quickstart for the serving layer: boot a sharded `pc-server` on a
 //! loopback port, replay a short synthetic burst through `pc-loadgen`'s
 //! library entry point, then drain the daemon and print both sides'
-//! reports. Run with:
+//! reports; finally serve a synthetic stream through the deterministic
+//! in-process cluster. Run with:
 //!
 //! ```text
 //! cargo run --release --example server_quickstart
 //! ```
 
-use pc_server::{run_in_process, run_tcp, EngineConfig, LoadgenConfig, Server};
+use pc_server::{run_tcp, EngineConfig, InProcCluster, LoadgenConfig, Server};
 use pc_sim::PolicySpec;
 use pc_trace::Workload;
 
@@ -35,14 +36,18 @@ fn main() -> std::io::Result<()> {
 
     // --- In-process mode: same path, no sockets, fully deterministic. ---
     let workload = Workload::parse("synthetic").unwrap().with_requests(50_000);
-    let ip = run_in_process(&engine, &workload, 42);
+    let mut cluster = InProcCluster::new(&engine);
+    let mut hits = 0u64;
+    for record in workload.stream(42) {
+        hits += u64::from(cluster.submit(&record).hit);
+    }
+    let snapshot = cluster.into_snapshot();
     println!("--- in-process (deterministic) ---");
     println!(
-        "submitted={} served={} hits={} energy_j={:.2}",
-        ip.submitted,
-        ip.served,
-        ip.hits,
-        ip.snapshot.total_energy().as_joules()
+        "served={} hits={} energy_j={:.2}",
+        snapshot.total_requests(),
+        hits,
+        snapshot.total_energy().as_joules()
     );
     Ok(())
 }

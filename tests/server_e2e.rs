@@ -1,14 +1,14 @@
 //! End-to-end tests of the serving layer: a real `pc-server` on a
-//! loopback socket driven by the real load generator, plus the
-//! deterministic in-process path the CI smoke job leans on — including
-//! the overload protocol (bounded queues, `BUSY`, retry/backoff) under
-//! fault injection.
+//! loopback socket driven by the real load generator — including the
+//! overload protocol (bounded queues, `BUSY`, retry/backoff) under
+//! fault injection — plus the deterministic in-process cluster.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use pc_server::{
-    parse_stats_json, run_in_process, run_tcp, EngineConfig, LoadgenConfig, Server, SlowShard,
+    parse_stats_json, run_tcp, ClusterSnapshot, EngineConfig, InProcCluster, LoadgenConfig, Server,
+    SlowShard,
 };
 use pc_sim::PolicySpec;
 use pc_trace::Workload;
@@ -68,73 +68,33 @@ fn shutdown_opcode_drains_the_server() {
     assert_eq!(run.snapshot.total_requests(), 0);
 }
 
+/// Serves `seed`'s stream of `workload` through an in-process cluster:
+/// the hits it saw and the closed books.
+fn in_process(engine: &EngineConfig, workload: &Workload, seed: u64) -> (u64, ClusterSnapshot) {
+    let mut cluster = InProcCluster::new(engine);
+    let hits = workload
+        .stream(seed)
+        .map(|record| u64::from(cluster.submit(&record).hit))
+        .sum();
+    (hits, cluster.into_snapshot())
+}
+
 #[test]
 fn in_process_mode_matches_itself_across_runs_for_every_workload() {
     for name in ["synthetic", "oltp", "cello96"] {
         let workload = Workload::parse(name).unwrap().with_requests(3_000);
         let engine = EngineConfig::new(3, workload.disk_count());
-        let r1 = run_in_process(&engine, &workload, 11);
-        let r2 = run_in_process(&engine, &workload, 11);
-        assert_eq!(r1.submitted, 3_000, "{name}");
-        assert_eq!(r1.served, 3_000, "{name}: an unslowed cluster admits all");
+        let (hits1, snap1) = in_process(&engine, &workload, 11);
+        let (hits2, snap2) = in_process(&engine, &workload, 11);
+        assert_eq!(snap1.total_requests(), 3_000, "{name}: every record served");
+        assert_eq!(hits1, hits2, "{name}");
         assert_eq!(
-            (r1.submitted, r1.served, r1.hits, r1.busy_rejects),
-            (r2.submitted, r2.served, r2.hits, r2.busy_rejects),
-            "{name}"
-        );
-        assert_eq!(
-            r1.snapshot.to_json(),
-            r2.snapshot.to_json(),
+            snap1.to_json(),
+            snap2.to_json(),
             "{name}: snapshots diverged"
         );
-        assert!(r1.snapshot.total_energy() > Joules::ZERO, "{name}");
+        assert!(snap1.total_energy() > Joules::ZERO, "{name}");
     }
-}
-
-#[test]
-fn in_process_overload_is_deterministic_and_loses_nothing() {
-    // The spec'd fault injection — queue bound 8, 500 µs delay on
-    // shard 0 — against a synthetic stream whose inter-arrival mean
-    // (50 µs) actually outruns the slowed shard's virtual service
-    // rate: the virtual-time model must reject the same records on
-    // every run, and the energy books must close over exactly the
-    // served requests.
-    let workload = Workload::Synthetic(
-        pc_trace::SyntheticConfig::default()
-            .with_requests(20_000)
-            .with_gaps(pc_trace::GapDistribution::exponential(
-                pc_units::SimDuration::from_micros(50),
-            )),
-    );
-    let engine = EngineConfig::new(4, workload.disk_count())
-        .with_queue_bound(8)
-        .with_slow_shard(SlowShard {
-            shard: 0,
-            micros: 500,
-        });
-    let a = run_in_process(&engine, &workload, 11);
-    let b = run_in_process(&engine, &workload, 11);
-
-    assert!(a.busy_rejects > 0, "the slowed shard must shed load");
-    assert_eq!(a.submitted, 20_000);
-    assert_eq!(
-        a.served + a.busy_rejects,
-        a.submitted,
-        "every request is either served or rejected, never lost or both"
-    );
-    assert_eq!(
-        a.snapshot.total_requests(),
-        a.served,
-        "rejected requests must not leak into the books"
-    );
-    assert!(a.snapshot.total_energy() > Joules::ZERO);
-
-    assert_eq!(
-        (a.submitted, a.served, a.hits, a.busy_rejects),
-        (b.submitted, b.served, b.hits, b.busy_rejects),
-        "overload outcome diverged across runs"
-    );
-    assert_eq!(a.snapshot.to_json(), b.snapshot.to_json());
 }
 
 #[test]
