@@ -37,6 +37,11 @@
 # names none; flags after `cargo` are cargo's. The flag half runs inside
 # the second pass, which knows the definitions.
 #
+# Fourth pass (kind `ci`): every `- name:` step of
+# .github/workflows/ci.yml must carry a `# guards:` line in the comment
+# block directly above it, naming the promise, golden or test the step
+# protects. A step without one is listed under its name.
+#
 # Rows print as `path:line  kind  name`. Prints each row whose `kind
 # name` is missing from ci/census-keep.txt (one `kind name reason` per
 # line) and exits 1 if there is any, so a surface nothing reaches is
@@ -213,6 +218,11 @@ docs_pass() {
         !($2 in known) { print $1 "  doc  " $2 }' - <(printf '%s\n' "$ids")
 }
 
-rows=$(pub_pass; surface_pass; docs_pass)
+ci_pass() { awk '
+/^[ \t]*#/ { if ($0 ~ /^[ \t]*# guards:/) guarded = 1; next }
+/^[ \t]*- name:/ && !guarded { name = $0; sub(/^[ \t]*- name:[ \t]*/, "", name); print FILENAME ":" FNR "  ci  " name }
+{ guarded = 0 }' .github/workflows/ci.yml; }
+
+rows=$(pub_pass; surface_pass; docs_pass; ci_pass)
 
 [ -z "$rows" ] || { echo "$rows"; exit 1; }

@@ -16,20 +16,20 @@ fn usage() -> String {
 [--trace FILE.pct] \
 [--conns N] [--connections N] [--secs S] [--seed N] [--rate REQ_PER_SEC] \
 [--io-timeout-secs S] \
-[--payload] [--block-bytes N]\n\
-  nonstationary scenarios (diurnal, flash-crowd, churn, phase-change)\n\
-  shift their request mix mid-run — pair with `pc-server --policy meta`\n\
-  to watch the adaptive policy switch in STATS.\n\
-  --conns drives the hot workload streams; --connections N holds the\n\
-  remainder (N - conns) open as mostly-idle sockets to exercise the\n\
-  server's event-loop connection scaling.\n\
-  --trace FILE replays a binary .pct trace (see `repro trace export`\n\
-  and `pc-server --capture`) instead of generating --workload; records\n\
-  are dealt round-robin across the hot connections.\n\
-  --payload drives the protocol-v2 data plane: writes carry block\n\
-  contents, reads are READ_DATA, and every DATA reply is verified\n\
-  (CRC32C + exact bytes) against the deterministic disk image.\n\
-  --block-bytes must match the server's data-plane block size\n\
+[--payload] [--block-bytes N]
+  nonstationary scenarios (diurnal, flash-crowd, churn, phase-change)
+  shift their request mix mid-run — pair with `pc-server --policy meta`
+  to watch the adaptive policy switch in STATS.
+  --conns drives the hot workload streams; --connections N holds the
+  remainder (N - conns) open as mostly-idle sockets to exercise the
+  server's event-loop connection scaling.
+  --trace FILE replays a binary .pct trace (see `repro trace export`
+  and `pc-server --capture`) instead of generating --workload; records
+  are dealt round-robin across the hot connections.
+  --payload drives the protocol-v2 data plane: writes carry block
+  contents, reads are READ_DATA, and every DATA reply is compared
+  byte for byte against the deterministic disk image.
+  --block-bytes must match the server's data-plane block size
   (at most {MAX_BLOCK_BYTES} bytes)."
     )
 }

@@ -46,23 +46,23 @@ fn usage() -> String {
         "usage: pc-server [--addr HOST:PORT] [--shards N] [--disks N] \
 [--policy NAME] [--write-policy NAME] [--cache-blocks N] \
 [--shard-queue N] [--slow-shard IDX:MICROS] [--io-threads N] \
-[--block-bytes N] [--corrupt-rate N] [--capture FILE.pct]\n\
-  policies: {}\n\
-  (--policy meta adapts: it re-ranks the fixed policies each epoch and\n\
-  switches the live one; STATS gains per-shard active_policy/switches)\n\
-  write policies: {}\n\
-  --shard-queue bounds each shard's admission queue (requests); a full\n\
-  queue answers BUSY. --slow-shard injects a per-request service delay\n\
-  into one shard (fault injection for backpressure tests).\n\
-  --io-threads sets the epoll event-loop thread count (0 = auto).\n\
-  --block-bytes sets the data-plane block size (READ_DATA/WRITE_DATA\n\
-  payload bytes per block, default 4096, at most {}).\n\
-  --corrupt-rate N flips one slab byte before every Nth verified read\n\
-  per shard (0 = off): CRC fault injection — reads answer CORRUPT and\n\
-  STATS counts crc_failures.\n\
-  --capture records every accepted request into a binary .pct trace\n\
-  file for later replay (pc-loadgen --trace); capture never blocks a\n\
-  shard — when the writer falls behind, records are dropped and the\n\
+[--block-bytes N] [--corrupt-rate N] [--capture FILE.pct]
+  policies: {}
+  (--policy meta adapts: it re-ranks the fixed policies each epoch and
+  switches the live one; STATS gains per-shard active_policy/switches)
+  write policies: {}
+  --shard-queue bounds each shard's admission queue (requests); a full
+  queue answers BUSY. --slow-shard injects a per-request service delay
+  into one shard (fault injection for backpressure tests).
+  --io-threads sets the epoll event-loop thread count (0 = auto).
+  --block-bytes sets the data-plane block size (READ_DATA/WRITE_DATA
+  payload bytes per block, default 4096, at most {}).
+  --corrupt-rate N flips one slab byte before every Nth verified read
+  per shard (0 = off): CRC fault injection — reads answer CORRUPT and
+  STATS counts crc_failures.
+  --capture records every accepted request into a binary .pct trace
+  file for later replay (pc-loadgen --trace); capture never blocks a
+  shard — when the writer falls behind, records are dropped and the
   drop count surfaces in STATS and the closing report.",
         PolicySpec::online_names(),
         WritePolicy::NAMES,

@@ -48,6 +48,7 @@
 pub mod capture;
 pub mod conn;
 pub mod data;
+mod front;
 pub mod loadgen;
 #[allow(unsafe_code)]
 pub mod poller;

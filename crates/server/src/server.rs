@@ -12,31 +12,24 @@
 //! The front-end is an **event loop**: a handful of IO threads, each
 //! multiplexing thousands of nonblocking connections through one
 //! [`Poller`] (a first-party epoll wrapper — see [`crate::poller`]).
-//! Per readable wakeup a connection's buffered bytes are drained,
-//! *every* complete frame is decoded, and the decoded requests are
-//! submitted to shards as per-shard batches through the bounded
-//! [`queue`] admission path — one `try_reserve` covers each batch, so
-//! every request is answered exactly once, with its IO result or with
-//! `BUSY`. Shard replies route back to the owning IO
-//! thread over a reply hub (an mpsc channel plus an eventfd [`Waker`]),
-//! are queued on the connection's scatter-gather write buffer, and any
-//! partial write arms `EPOLLOUT` for the rest. An idle connection
-//! costs one slab slot, one 4 KiB read window and a deadline-heap entry
-//! — not a thread stack — and a lazy-deletion deadline heap sweeps
-//! silent peers after the idle timeout.
+//! Per readable wakeup a connection's buffered bytes are drained and
+//! every complete frame goes to the admission core (`front.rs`),
+//! which batches IO requests per shard and admits each batch through
+//! the bounded [`queue`] of at most [`EngineConfig::queue_bound`]
+//! requests, answering the overflow `BUSY`: every request is answered
+//! exactly once, with its IO result or with `BUSY`. Overload pushes back
+//! on clients instead of reshaping the request stream a shard sees,
+//! whose shape decides the exploitable idle periods. Shard replies route
+//! back to the owning IO thread over a reply hub (an mpsc channel plus
+//! an eventfd [`Waker`]) and are queued on the connection's
+//! scatter-gather write buffer; a partial write arms `EPOLLOUT` for the
+//! rest. An idle connection costs one slab slot, one 4 KiB read window
+//! and a deadline-heap entry, which sweeps silent peers after the idle
+//! timeout.
 //!
 //! The TCP daemon is **Linux-only**: [`Server::run`] needs epoll and
 //! returns `ErrorKind::Unsupported` elsewhere. The simulator and the
 //! in-process cluster ([`crate::InProcCluster`]) stay portable.
-//!
-//! Admission is **bounded**: each shard consumes work
-//! through a [`queue`] holding at most [`EngineConfig::queue_bound`]
-//! requests. A batch that does not fit answers the overflow with
-//! `BUSY` frames (carrying the shard's queue depth) instead of
-//! buffering, so overload pushes back on clients rather than silently
-//! reshaping the request stream a shard sees — the stream's shape is
-//! what decides the exploitable idle periods, so it must not be
-//! laundered through an elastic queue.
 //!
 //! Shutdown (SIGTERM bridge or the `SHUTDOWN` opcode) sets one atomic
 //! flag: the accept loop stops, IO threads deliver outstanding shard
@@ -52,20 +45,14 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pc_units::SimTime;
-
 use crate::capture::{Capture, CaptureReport, CaptureRing, DEFAULT_CAPTURE_QUEUE};
 use crate::conn::{Conn, FillOutcome};
+use crate::front::{Front, IoReq, Step};
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::protocol::{self, valid_data_request, Request, Response};
-use crate::queue::{self, QueueReceiver, QueueSender, TryPushError};
-use crate::shard::{shard_of, EngineConfig, ShardEngine};
+use crate::protocol::{self, Response};
+use crate::queue::{self, QueueReceiver, QueueSender};
+use crate::shard::{EngineConfig, ShardEngine};
 use crate::stats::{ClusterSnapshot, IoThreadSnapshot, ShardSnapshot};
-use pc_units::{BlockNo, DiskId};
-
-/// Flush a connection's pending batch to its shard once it holds this
-/// many requests, even if more input is buffered.
-const BATCH_LIMIT: usize = 1024;
 
 /// How often the accept loop re-checks the stop flag; also the event
 /// loop's maximum poll timeout for the same check.
@@ -82,23 +69,10 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// outstanding batches before abandoning undelivered replies.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
-/// One request routed to a shard.
-struct IoReq {
-    seq: u32,
-    at_us: u64,
-    disk: u32,
-    block: u64,
-    blocks: u64,
-    write: bool,
-    /// `Some` for a protocol-v2 data request: the `WRITE_DATA` payload
-    /// (empty for `READ_DATA`, whose *reply* carries the bytes).
-    /// `None` is a metadata-only request.
-    payload: Option<Vec<u8>>,
-}
-
 /// Where a shard sends a batch's encoded responses: the owning IO
 /// thread's reply hub, tagged with the connection's slab token; the
 /// waker interrupts its poll.
+#[derive(Clone)]
 struct ReplySink {
     hub: Sender<(u64, Vec<u8>)>,
     token: u64,
@@ -421,9 +395,8 @@ struct IoThreadCtx {
 /// One multiplexed connection's slab slot.
 struct Entry {
     conn: Conn,
-    /// This entry's slab index (tokens are `gen << 32 | idx`).
-    idx: usize,
-    gen: u32,
+    /// Where this connection's shard replies go, under its slab token.
+    reply: ReplySink,
     /// Batches submitted to shards whose replies have not yet been
     /// delivered to this connection; an EOF'd connection closes only
     /// once this reaches zero and the write queue drains, so nothing
@@ -448,19 +421,19 @@ struct EventLoop {
     free: Vec<usize>,
     /// Lazy-deletion idle deadlines: `(deadline, token)`, min-first.
     deadlines: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    /// Per-shard scratch batches; always empty between connections.
-    batches: Vec<Vec<IoReq>>,
+    /// The admission core: per-shard batches, empty between connections.
+    front: Front,
     /// This thread's total outstanding shard batches (drain barrier).
     inflight: usize,
 }
 
 fn io_thread_main(ctx: IoThreadCtx) {
-    let nshards = ctx.shard_txs.len();
     let (hub_tx, hub_rx) = channel();
     ctx.poller
         .register(ctx.waker.fd(), WAKER_TOKEN, Interest::Readable)
         .expect("register waker with poller");
     let mut lp = EventLoop {
+        front: Front::new(ctx.shard_txs.len(), ctx.block_bytes),
         ctx,
         hub_tx,
         hub_rx,
@@ -468,7 +441,6 @@ fn io_thread_main(ctx: IoThreadCtx) {
         gens: Vec::new(),
         free: Vec::new(),
         deadlines: BinaryHeap::new(),
-        batches: (0..nshards).map(|_| Vec::new()).collect(),
         inflight: 0,
     };
     let mut events: Vec<Event> = Vec::new();
@@ -539,10 +511,14 @@ impl EventLoop {
                 self.free.push(idx);
                 continue;
             }
+            let reply = ReplySink {
+                hub: self.hub_tx.clone(),
+                token,
+                waker: Arc::clone(&self.ctx.waker),
+            };
             let mut entry = Entry {
                 conn,
-                idx,
-                gen: self.gens[idx],
+                reply,
                 inflight: 0,
                 want_out: false,
                 accounted_wb: 0,
@@ -566,7 +542,7 @@ impl EventLoop {
             self.inflight = self.inflight.saturating_sub(1);
             let (idx, gen) = split_token(token);
             match detached.as_deref_mut() {
-                Some(entry) if (entry.idx, entry.gen) == (idx, gen) => {
+                Some(entry) if entry.reply.token == token => {
                     entry.inflight = entry.inflight.saturating_sub(1);
                     entry.conn.queue_write(bytes);
                 }
@@ -643,12 +619,7 @@ impl EventLoop {
             return;
         }
         if ev.readable && !self.read_and_serve(&mut entry) {
-            // Protocol error or dead socket: nothing to salvage, so
-            // decoded-but-unsubmitted requests from the poisoned stream
-            // are dropped, not bounced.
-            for b in &mut self.batches {
-                b.clear();
-            }
+            // Protocol error or dead socket: nothing to salvage.
             self.close_entry(idx, entry);
             return;
         }
@@ -674,7 +645,7 @@ impl EventLoop {
             } else {
                 Interest::Readable
             };
-            let token = token_of(idx, entry.gen);
+            let token = entry.reply.token;
             if self
                 .ctx
                 .poller
@@ -690,9 +661,9 @@ impl EventLoop {
         self.slab[idx] = Some(entry);
     }
 
-    /// Drains the socket, decodes every complete frame, batches I/O
-    /// per shard, and submits the batches through bounded admission.
-    /// Returns `false` if the connection must close immediately.
+    /// Drains the socket and hands every complete frame to the
+    /// admission core, acting on each step it stops at. Returns `false`
+    /// if the connection must close immediately.
     fn read_and_serve(&mut self, entry: &mut Entry) -> bool {
         match entry.conn.fill() {
             Ok(FillOutcome::Open(_)) => {}
@@ -700,45 +671,33 @@ impl EventLoop {
             Err(_) => return false,
         }
         let at_us = self.ctx.epoch.elapsed().as_micros() as u64;
-        let nshards = self.ctx.shard_txs.len();
-        let mut decoded = 0u64;
-        let mut ok = true;
         loop {
-            let req = match entry.conn.next_request() {
-                Ok(Some(req)) => req,
-                Ok(None) => break,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
+            let mut pushed = 0;
+            let mut lanes = (&self.ctx.shard_txs[..], |batch| {
+                pushed += 1;
+                let reply = entry.reply.clone();
+                ShardMsg::Io { reply, batch }
+            });
+            let (mut decoded, mut out) = (0u64, Vec::new());
+            let next = || {
+                let req = entry.conn.next_request();
+                decoded += u64::from(matches!(req, Ok(Some(_))));
+                req
             };
-            decoded += 1;
-            let (seq, write, disk, block, blocks, payload) = match req {
-                Request::Io {
-                    seq,
-                    write,
-                    disk,
-                    block,
-                    blocks,
-                } => (seq, write, disk, block, blocks, None),
-                Request::IoData {
-                    seq,
-                    write,
-                    disk,
-                    block,
-                    blocks,
-                    payload,
-                } => {
-                    if !valid_data_request(write, blocks, &payload, self.ctx.block_bytes) {
-                        ok = false;
-                        break;
-                    }
-                    (seq, write, disk, block, blocks, Some(payload))
+            let step = self.front.step(next, at_us, &mut lanes, &mut out);
+            entry.inflight += pushed;
+            self.inflight += pushed;
+            entry.conn.queue_write(out);
+            for (gauge, busy) in self.ctx.busy_gauges.iter().zip(&mut self.front.busy) {
+                if *busy > 0 {
+                    gauge.fetch_add(std::mem::take(busy), Ordering::Relaxed);
                 }
-                Request::Stats { seq } => {
-                    self.submit_all(entry);
-                    self.gauges().frames.fetch_add(decoded, Ordering::Relaxed);
-                    decoded = 0;
+            }
+            self.gauges().frames.fetch_add(decoded, Ordering::Relaxed);
+            match step {
+                Step::Drained => return true,
+                Step::Poisoned => return false,
+                Step::Stats { seq } => {
                     let json = collect_stats(&self.ctx);
                     // Shards answer Stats *after* the batches queued ahead
                     // of it (FIFO), so every IO reply that must precede
@@ -748,88 +707,13 @@ impl EventLoop {
                     let mut out = Vec::with_capacity(json.len() + 16);
                     protocol::encode_response(&Response::Stats { seq, json }, &mut out);
                     entry.conn.queue_write(out);
-                    continue;
                 }
-                Request::Shutdown { seq } => {
-                    self.submit_all(entry);
-                    let mut out = Vec::new();
-                    protocol::encode_response(&Response::Shutdown { seq }, &mut out);
-                    entry.conn.queue_write(out);
+                Step::Shutdown { .. } => {
                     self.ctx.stop.store(true, Ordering::Relaxed);
                     for w in self.ctx.all_wakers.iter() {
                         w.wake();
                     }
-                    continue;
                 }
-            };
-            // The one place the front-end maps a request to a shard.
-            let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
-            self.batches[s].push(IoReq {
-                seq,
-                at_us,
-                disk,
-                block,
-                blocks: u64::from(blocks),
-                write,
-                payload,
-            });
-            if self.batches[s].len() >= BATCH_LIMIT {
-                self.submit_shard(s, entry);
-            }
-        }
-        self.gauges().frames.fetch_add(decoded, Ordering::Relaxed);
-        if ok {
-            self.submit_all(entry);
-        }
-        ok
-    }
-
-    fn submit_all(&mut self, entry: &mut Entry) {
-        for s in 0..self.batches.len() {
-            self.submit_shard(s, entry);
-        }
-    }
-
-    /// Pushes one shard's pending batch through bounded admission: one
-    /// `try_reserve` covers the batch, the granted prefix rides to the
-    /// shard with this connection's reply token, and the remainder is
-    /// answered `BUSY` straight into the connection's write queue —
-    /// exactly once per request, never both.
-    fn submit_shard(&mut self, s: usize, entry: &mut Entry) {
-        let batch = &mut self.batches[s];
-        if batch.is_empty() {
-            return;
-        }
-        let tx = &self.ctx.shard_txs[s];
-        match tx.try_reserve(batch.len()) {
-            Ok(granted) => {
-                let rejected = batch.split_off(granted);
-                tx.push_reserved(
-                    ShardMsg::Io {
-                        reply: ReplySink {
-                            hub: self.hub_tx.clone(),
-                            token: token_of(entry.idx, entry.gen),
-                            waker: Arc::clone(&self.ctx.waker),
-                        },
-                        batch: std::mem::take(batch),
-                    },
-                    granted,
-                );
-                entry.inflight += 1;
-                self.inflight += 1;
-                if !rejected.is_empty() {
-                    bounce_into_conn(&rejected, tx.depth(), entry, &self.ctx.busy_gauges[s]);
-                }
-            }
-            Err(TryPushError::Full { depth }) => {
-                bounce_into_conn(batch, depth, entry, &self.ctx.busy_gauges[s]);
-                batch.clear();
-            }
-            Err(TryPushError::Closed) => {
-                // Mid-shutdown: the shard is gone, but every accepted
-                // request still gets exactly one answer.
-                bounce_into_conn(batch, 0, entry, &self.ctx.busy_gauges[s]);
-                batch.clear();
             }
         }
     }
@@ -861,21 +745,17 @@ impl EventLoop {
             if left.is_zero() {
                 break;
             }
-            match self
-                .hub_rx
-                .recv_timeout(left.min(Duration::from_millis(50)))
-            {
-                Ok((token, bytes)) => {
-                    self.inflight -= 1;
-                    let (idx, gen) = split_token(token);
-                    if let Some(mut entry) = self.take_entry(idx, gen) {
-                        entry.inflight = entry.inflight.saturating_sub(1);
-                        entry.conn.queue_write(bytes);
-                        self.slab[idx] = Some(entry);
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            // `self.hub_tx` lives on, so the hub never disconnects.
+            let wait = left.min(Duration::from_millis(50));
+            let Ok((token, bytes)) = self.hub_rx.recv_timeout(wait) else {
+                continue;
+            };
+            self.inflight -= 1;
+            let (idx, gen) = split_token(token);
+            if let Some(mut entry) = self.take_entry(idx, gen) {
+                entry.inflight = entry.inflight.saturating_sub(1);
+                entry.conn.queue_write(bytes);
+                self.slab[idx] = Some(entry);
             }
         }
         for entry in self.slab.iter_mut().flatten() {
@@ -897,18 +777,6 @@ fn token_of(idx: usize, gen: u32) -> u64 {
 /// Splits a slab token into `(index, generation)`.
 fn split_token(token: u64) -> (usize, u32) {
     ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
-}
-
-/// Answers `reqs` with `BUSY` frames straight into the connection's
-/// write queue.
-fn bounce_into_conn(reqs: &[IoReq], depth: usize, entry: &mut Entry, busy_gauge: &AtomicU64) {
-    let mut out = Vec::with_capacity(reqs.len() * 13);
-    let depth = u32::try_from(depth).unwrap_or(u32::MAX);
-    for r in reqs {
-        protocol::encode_response(&Response::Busy { seq: r.seq, depth }, &mut out);
-    }
-    busy_gauge.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    entry.conn.queue_write(out);
 }
 
 /// A shard thread: apply batches in arrival order until every sender is
@@ -939,55 +807,7 @@ fn shard_main(
                         // shard's request loop.
                         cap.record(r.at_us, r.disk, r.block, r.blocks, r.write);
                     }
-                    let outcome = engine.ingest(
-                        SimTime::from_micros(r.at_us),
-                        r.disk,
-                        r.block,
-                        r.blocks,
-                        r.write,
-                    );
-                    let response_us =
-                        u32::try_from(outcome.response.as_micros()).unwrap_or(u32::MAX);
-                    match &r.payload {
-                        Some(_) if !r.write => {
-                            // READ_DATA: encode the header optimistically,
-                            // then let the store append verified slab bytes
-                            // straight after it (copy-once). On a checksum
-                            // failure the store already refilled the frame;
-                            // roll the reply back to a CORRUPT frame.
-                            let total = r.blocks.max(1) as usize * engine.block_bytes();
-                            let frame_start = out.len();
-                            protocol::encode_data_header(
-                                r.seq,
-                                outcome.hit,
-                                response_us,
-                                total,
-                                &mut out,
-                            );
-                            if !engine.read_payload_into(r.disk, r.block, r.blocks, &mut out) {
-                                out.truncate(frame_start);
-                                protocol::encode_response(
-                                    &Response::Corrupt { seq: r.seq },
-                                    &mut out,
-                                );
-                            }
-                        }
-                        // Metadata requests and WRITE_DATA acks share the
-                        // compact IO frame; the written bytes stay server-side.
-                        payload => {
-                            if let Some(bytes) = payload {
-                                engine.write_payload(r.disk, r.block, r.blocks, bytes);
-                            }
-                            protocol::encode_response(
-                                &Response::Io {
-                                    seq: r.seq,
-                                    hit: outcome.hit,
-                                    response_us,
-                                },
-                                &mut out,
-                            );
-                        }
-                    }
+                    engine.serve(r, &mut out);
                 }
                 reply.send(out);
             }
@@ -1014,16 +834,11 @@ fn collect_stats(ctx: &IoThreadCtx) -> String {
         s.push_control(ShardMsg::Stats { reply: tx.clone() });
     }
     drop(tx);
-    let mut snaps: Vec<ShardSnapshot> = rx.iter().collect();
-    if snaps.len() != ctx.shard_txs.len() {
-        // Mid-shutdown race: report what answered rather than nothing.
-        let mut dense: Vec<ShardSnapshot> =
-            (0..ctx.shard_txs.len()).map(ShardSnapshot::empty).collect();
-        for s in snaps {
-            let at = s.shard;
-            dense[at] = s;
-        }
-        snaps = dense;
+    // A shard gone mid-shutdown reports empty rather than nothing.
+    let mut snaps: Vec<_> = (0..ctx.shard_txs.len()).map(ShardSnapshot::empty).collect();
+    for s in rx {
+        let at = s.shard;
+        snaps[at] = s;
     }
     ClusterSnapshot::new(ctx.names.0.clone(), ctx.names.1.clone(), snaps)
         .with_io(io_snapshots(&ctx.io_gauges))
@@ -1035,7 +850,8 @@ fn collect_stats(ctx: &IoThreadCtx) -> String {
 mod tests {
     use super::*;
     use crate::protocol::{
-        encode_data_request, encode_request, FrameBuf, DEFAULT_BLOCK_BYTES, MAX_DATA_BLOCKS,
+        encode_data_request, encode_request, FrameBuf, Request, DEFAULT_BLOCK_BYTES,
+        MAX_DATA_BLOCKS,
     };
     use crate::stats::parse_stats_json;
     use std::io::{Error, ErrorKind, Read, Write};

@@ -17,7 +17,8 @@ use pc_units::{BlockId, BlockNo, DiskId, SimTime};
 use rustc_hash::FxHasher;
 
 use crate::data::{BlockStore, ReadOutcome};
-use crate::protocol::{DEFAULT_BLOCK_BYTES, MAX_BLOCK_BYTES};
+use crate::front::IoReq;
+use crate::protocol::{self, Response, DEFAULT_BLOCK_BYTES, MAX_BLOCK_BYTES};
 use crate::stats::{ClusterSnapshot, ShardSnapshot};
 
 /// Default per-shard admission-queue bound, in requests: four reader
@@ -375,6 +376,43 @@ impl ShardEngine {
             }
         }
         true
+    }
+
+    /// Serves one admitted request and appends its reply frame to `out`:
+    /// `IO` for a metadata request or a `WRITE_DATA` ack (the written
+    /// bytes stay server-side), `DATA` with the verified blocks for a
+    /// `READ_DATA`, or `CORRUPT` when a slab frame failed its CRC.
+    pub(crate) fn serve(&mut self, r: &IoReq, out: &mut Vec<u8>) {
+        let at = SimTime::from_micros(r.at_us);
+        let outcome = self.ingest(at, r.disk, r.block, r.blocks, r.write);
+        let (seq, hit) = (r.seq, outcome.hit);
+        let response_us = u32::try_from(outcome.response.as_micros()).unwrap_or(u32::MAX);
+        match &r.payload {
+            Some(_) if !r.write => {
+                // Copy-once: encode the header optimistically, then let
+                // the store append verified slab bytes straight after
+                // it. On a checksum failure the store already refilled
+                // the frame; roll the reply back to a CORRUPT frame.
+                let total = r.blocks.max(1) as usize * self.block_bytes();
+                let frame_start = out.len();
+                protocol::encode_data_header(seq, hit, response_us, total, out);
+                if !self.read_payload_into(r.disk, r.block, r.blocks, out) {
+                    out.truncate(frame_start);
+                    protocol::encode_response(&Response::Corrupt { seq }, out);
+                }
+            }
+            payload => {
+                if let Some(bytes) = payload {
+                    self.write_payload(r.disk, r.block, r.blocks, bytes);
+                }
+                let io = Response::Io {
+                    seq,
+                    hit,
+                    response_us,
+                };
+                protocol::encode_response(&io, out);
+            }
+        }
     }
 
     /// The slab slot a `(wire disk, block)` pair currently occupies,

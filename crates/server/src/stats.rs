@@ -479,8 +479,7 @@ pub struct StatsSummary {
     pub busy_rejects: u64,
     /// Worst admission-queue high-water mark across shards.
     pub queue_high_water: u64,
-    /// Total payload CRC failures detected across shards (0 for
-    /// snapshots predating the data plane).
+    /// Total payload CRC failures detected across shards.
     pub crc_failures: u64,
     /// Per-shard energy in joules, indexed by shard.
     pub shard_energy_j: Vec<f64>,
@@ -504,10 +503,9 @@ pub struct StatsSummary {
 /// followed by nothing but whitespace. Returns `None` on anything
 /// malformed — the load generator treats that as a failed run.
 ///
-/// Optional counters (`busy_rejects`, `queue_high_water`,
-/// `crc_failures`, `meta_switches` and the capture section's) read 0
-/// when absent, for snapshots from older servers, and make the parse fail
-/// when present but not a number.
+/// Every `total` counter but `meta_switches` is required. That one (absent
+/// under a fixed policy) and the `io` and `capture` sections read 0 when
+/// absent. A counter present but not a number fails the parse.
 ///
 /// This is a purpose-built extractor for the snapshot format above, not
 /// a general JSON parser (the workspace is dependency-free by design).
@@ -521,11 +519,11 @@ pub fn parse_stats_json(s: &str) -> Option<StatsSummary> {
     let requests = num_after(total_part, "\"requests\":")?.parse().ok()?;
     let hits = num_after(total_part, "\"hits\":")?.parse().ok()?;
     let energy_j = num_after(total_part, "\"energy_j\":")?.parse().ok()?;
-    // Absent on snapshots from pre-backpressure servers, and
-    // `meta_switches` under fixed policies.
-    let busy_rejects = optional_count(total_part, "\"busy_rejects\":")?;
-    let queue_high_water = optional_count(total_part, "\"queue_high_water\":")?;
-    let crc_failures = optional_count(total_part, "\"crc_failures\":")?;
+    let busy_rejects = num_after(total_part, "\"busy_rejects\":")?.parse().ok()?;
+    let queue_high_water = num_after(total_part, "\"queue_high_water\":")?
+        .parse()
+        .ok()?;
+    let crc_failures = num_after(total_part, "\"crc_failures\":")?.parse().ok()?;
     let meta_switches = optional_count(total_part, "\"meta_switches\":")?;
     // The optional "io" section sits between the shard array and the
     // total; split it off so its counters are not mistaken for shard
@@ -545,7 +543,7 @@ pub fn parse_stats_json(s: &str) -> Option<StatsSummary> {
         rest = &rest[14..];
     }
     // The optional "capture" section (between io and total); absent on
-    // servers not running --capture, and on older snapshots: zero.
+    // servers not running --capture: zero.
     let (capture_recorded, capture_dropped) = match s.find("\"capture\":{") {
         Some(at) => {
             let cap = &s[at..];
@@ -938,7 +936,7 @@ mod tests {
             (live(r#""policy":"lru""#, r#""policy":"l\\""#), Some(0)),
             (total(r#""crc_failures":0}"#, r#""crc_failures":0"}"#), None),
             (total(r#""busy_rejects":0"#, r#""busy_rejects":7"#), Some(7)),
-            (total(r#","busy_rejects":0"#, ""), Some(0)),
+            (total(r#","busy_rejects":0"#, ""), None),
             (total(r#""busy_rejects":0"#, r#""busy_rejects":"7""#), None),
             (
                 total(r#""queue_high_water":2"#, r#""queue_high_water":"2""#),

@@ -72,3 +72,25 @@ fn pc_loadgen_rejects_bad_values_without_panicking() {
         assert_rejected(bin, &args, "--block-bytes");
     }
 }
+
+/// `--help` keeps the usage text's indent: its paragraphs print under
+/// the `usage:` line indented by two spaces, not flush left.
+#[test]
+fn help_text_keeps_its_indent() {
+    for bin in [
+        env!("CARGO_BIN_EXE_pc-server"),
+        env!("CARGO_BIN_EXE_pc-loadgen"),
+    ] {
+        let out = Command::new(bin)
+            .arg("--help")
+            .output()
+            .expect("binary runs");
+        let help = String::from_utf8_lossy(&out.stderr);
+        assert!(help.starts_with("usage: "), "{bin}: {help}");
+        assert!(
+            help.lines()
+                .any(|l| l.starts_with("  ") && !l.trim().is_empty()),
+            "{bin}: no indented line in {help}"
+        );
+    }
+}
